@@ -28,12 +28,18 @@ the policy-driven pathological tail (Fig. 1) does not.
 The *primary* route of each set (deterministic hot-potato + id
 tie-breaks) is what the node advertises to its neighbors, matching BGP's
 single-best-announcement behaviour.
+
+The sweep runs over the int arrays of :class:`repro.topology.flat
+.FlatAdjacency` and plain path tuples, and packs its result into a
+:class:`repro.routing.flat.FlatRoutingTable`.  With a provenance
+recorder installed (:mod:`repro.explain`), the same sweep also records a
+:class:`SelectionTrail` per routed node: every offer it considered and
+why each loser lost.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
@@ -42,24 +48,27 @@ from repro.explain import provenance
 from repro.explain.provenance import RouteCandidate, SelectionTrail
 from repro.netaddr.ipv4 import IPv4Prefix
 from repro.routing.route import Announcement, OriginSpec, PrefTier, Route
-from repro.topology.asys import LinkKind
 from repro.topology.graph import Topology
 
 if TYPE_CHECKING:
     from repro.par.cache import RoutingTableCache
-    from repro.topology.flat import FlatAdjacency
-
-#: Environment knob for the flat compute path.  Unset or anything else
-#: means *flat* (the default); ``0``/``false``/``off``/``no`` fall back
-#: to the dict-of-dataclasses path.  Both paths are byte-identical
-#: through the codec; the knob exists for A/B benchmarking and triage.
-FLAT_ENV = "REPRO_FLAT"
+    from repro.routing.flat import FlatRoutingTable
 
 #: Tie-break description recorded on selection trails: how the engine
-#: orders routes *within* one equal-best set (see :meth:`RoutingEngine
-#: ._rank_key`).
+#: orders routes *within* one equal-best set (the sort key of
+#: ``settle`` in :meth:`RoutingEngine._compute`).
 HOT_POTATO_TIE_BREAK = "hot-potato: nearest exit-interconnect km, then neighbor id, then origin id"
 
+#: Lowercase tier names, as selection trails spell them.
+_TIER_NAMES = {int(tier): tier.name.lower() for tier in PrefTier}
+
+
+def _rejected(
+    path: tuple[int, ...], tier: str, via: int, reason: str
+) -> RouteCandidate:
+    """A selection-trail entry for an offer that lost."""
+    return RouteCandidate(path=path, tier=tier, via=via, accepted=False,
+                          reason=reason)
 
 @dataclass(frozen=True)
 class RouteChoice:
@@ -152,16 +161,13 @@ class RoutingEngine:
     #: needs enough diversity to pick a nearby exit.
     MAX_EQUAL_BEST = 16
 
-    def __init__(self, topology: Topology, *, use_flat: bool | None = None):
+    #: Cap on candidates kept per selection trail; rejected offers past
+    #: this are dropped rather than growing trails without bound.
+    MAX_TRAIL_CANDIDATES = 64
+
+    def __init__(self, topology: Topology):
         self._topology = topology
-        self._cache: dict[tuple[Announcement, int], RoutingTable] = {}
-        self._exit_km_cache: dict[tuple[int, int], float] = {}
-        self._exit_km_version = topology.version
-        if use_flat is None:
-            raw = os.environ.get(FLAT_ENV, "").strip().lower()
-            use_flat = raw not in {"0", "false", "off", "no"}
-        self._use_flat = use_flat
-        self._adj: "FlatAdjacency | None" = None
+        self._cache: dict[tuple[Announcement, int], FlatRoutingTable] = {}
         self._cache_hits = 0
         self._cache_misses = 0
         self._pcache_hits = 0
@@ -174,7 +180,7 @@ class RoutingEngine:
     def topology(self) -> Topology:
         return self._topology
 
-    def compute(self, announcement: Announcement) -> RoutingTable:
+    def compute(self, announcement: Announcement) -> FlatRoutingTable:
         """Routing table for an announcement (cached per topology version).
 
         Lookup order: the in-memory cache, then the persistent on-disk
@@ -196,7 +202,7 @@ class RoutingEngine:
         self._cache[key] = table
         return table
 
-    def compute_uncached(self, announcement: Announcement) -> RoutingTable:
+    def compute_uncached(self, announcement: Announcement) -> FlatRoutingTable:
         """One real three-stage compute, bypassing every cache.
 
         This is the unit of work :func:`repro.par.routing.compute_fanout`
@@ -211,7 +217,7 @@ class RoutingEngine:
         self,
         announcements: Iterable[Announcement],
         workers: int | None = None,
-    ) -> list[RoutingTable]:
+    ) -> list[FlatRoutingTable]:
         """Tables for many announcements, optionally computed in parallel.
 
         Cache hits (in-memory, then persistent) resolve inline; only the
@@ -224,7 +230,7 @@ class RoutingEngine:
         """
         announcements = list(announcements)
         version = self._topology.version
-        resolved: dict[int, RoutingTable] = {}
+        resolved: dict[int, FlatRoutingTable] = {}
         pending: list[int] = []
         for index, announcement in enumerate(announcements):
             table = self._cache.get((announcement, version))
@@ -269,7 +275,9 @@ class RoutingEngine:
         return [resolved[i] for i in range(len(announcements))]
 
     # ------------------------------------------------------------------
-    def _load_persistent(self, announcement: Announcement) -> RoutingTable | None:
+    def _load_persistent(
+        self, announcement: Announcement
+    ) -> FlatRoutingTable | None:
         cache = self.persistent_cache
         if cache is None:
             return None
@@ -280,7 +288,7 @@ class RoutingEngine:
         return table
 
     def _store_persistent(
-        self, announcement: Announcement, table: RoutingTable
+        self, announcement: Announcement, table: FlatRoutingTable
     ) -> None:
         cache = self.persistent_cache
         if cache is not None:
@@ -301,82 +309,41 @@ class RoutingEngine:
         return hits / total if total else 0.0
 
     # ------------------------------------------------------------------
-    def _adjacency(self) -> "FlatAdjacency":
-        """The topology's flat adjacency, re-resolved on version change."""
-        adj = self._adj
-        if adj is None or adj.version != self._topology.version:
-            from repro.topology.flat import flat_adjacency
-
-            adj = self._adj = flat_adjacency(self._topology)
-        return adj
-
-    def _exit_km(self, node_id: int, neighbor_id: int) -> float:
-        """Deterministic hot-potato metric for primary-route selection:
-        km from the node's nearest PoP to the closest interconnect of its
-        link toward ``neighbor_id``.
-
-        Values come from the shared :class:`repro.topology.flat
-        .FlatAdjacency` memo, so the dict and flat compute paths rank
-        routes by byte-identical floats; the per-engine dict keeps
-        repeated dict-path lookups a single local probe.
-        """
-        if self._exit_km_version != self._topology.version:
-            self._exit_km_cache.clear()
-            self._exit_km_version = self._topology.version
-        key = (node_id, neighbor_id)
-        cached = self._exit_km_cache.get(key)
-        if cached is not None:
-            return cached
-        km = self._adjacency().exit_km(node_id, neighbor_id)
-        self._exit_km_cache[key] = km
-        return km
-
-    def _rank_key(self, node: int, route: Route) -> tuple[float, int, int]:
-        """Ordering of routes *within* one equal-best set."""
-        return (self._exit_km(node, route.next_hop), route.next_hop, route.origin)
-
-    def _make_choice(
+    def _record_trail(
         self,
+        prov: provenance.ProvenanceRecorder,
+        prefix_str: str,
         node: int,
-        routes: list[Route],
-        *,
-        prov: provenance.ProvenanceRecorder | None = None,
-        stage: str = "",
-        rejected: list[RouteCandidate] | None = None,
-    ) -> RouteChoice:
-        ordered = sorted(routes, key=lambda r: self._rank_key(node, r))
-        choice = RouteChoice(routes=tuple(ordered[: self.MAX_EQUAL_BEST]))
-        if len(choice.routes) > 1:
-            obs.counter.inc("routing.equal_best_splits")
-        if prov is not None:
-            candidates = [
-                RouteCandidate(path=r.path, tier=r.tier.name.lower(),
-                               via=r.next_hop, accepted=True)
-                for r in choice.routes
-            ]
-            candidates.extend(
-                RouteCandidate(path=r.path, tier=r.tier.name.lower(),
-                               via=r.next_hop, accepted=False,
-                               reason="equal-best-overflow")
-                for r in ordered[self.MAX_EQUAL_BEST:]
-            )
-            if rejected:
-                candidates.extend(rejected)
-            del candidates[self.MAX_TRAIL_CANDIDATES:]
-            prov.record_selection(SelectionTrail(
-                prefix=str(choice.primary.prefix),
-                node_id=node,
-                stage=stage,
-                winner_tier=choice.tier.name.lower(),
-                winner_hops=choice.hops,
-                tie_break=HOT_POTATO_TIE_BREAK,
-                candidates=tuple(candidates),
-            ))
-        return choice
-
-    #: Cap on candidates kept per selection trail; rejected offers past
-    #: this are dropped rather than growing trails without bound.
-    MAX_TRAIL_CANDIDATES = 64
+        tier: int,
+        stage: str,
+        ranked: list[tuple[int, ...]],
+        rejected: list[RouteCandidate] | None,
+    ) -> None:
+        """Record a node's selection: its hot-potato-ranked equal-best
+        paths (those past :attr:`MAX_EQUAL_BEST` as overflow), then the
+        offers it refused on the way."""
+        name = _TIER_NAMES[tier]
+        cap = self.MAX_EQUAL_BEST
+        candidates = [
+            RouteCandidate(path=path, tier=name, via=path[1], accepted=True)
+            for path in ranked[:cap]
+        ]
+        candidates.extend(
+            _rejected(path, name, path[1], "equal-best-overflow")
+            for path in ranked[cap:]
+        )
+        if rejected:
+            candidates.extend(rejected)
+        del candidates[self.MAX_TRAIL_CANDIDATES:]
+        prov.record_selection(SelectionTrail(
+            prefix=prefix_str,
+            node_id=node,
+            stage=stage,
+            winner_tier=name,
+            winner_hops=len(ranked[0]) - 1,
+            tie_break=HOT_POTATO_TIE_BREAK,
+            candidates=tuple(candidates),
+        ))
 
     def _record_reject(
         self,
@@ -407,25 +374,26 @@ class RoutingEngine:
         ))
 
     # ------------------------------------------------------------------
-    def _compute(self, announcement: Announcement) -> RoutingTable:
-        """Dispatch one real compute to the flat or dict path.
+    def _compute(self, announcement: Announcement) -> FlatRoutingTable:
+        """The three-stage sweep over flat arrays and plain path tuples.
 
-        The flat path produces a :class:`repro.routing.flat
-        .FlatRoutingTable` with byte-identical codec output; provenance
-        capture forces the dict path, which materializes the ``Route``
-        objects selection trails record.
+        A route is just its AS-path tuple (``path[0]`` the holder,
+        ``path[1]`` the next hop, ``path[-1]`` the origin); a node's
+        equal-best set is ``(tier, [paths])`` with ``paths[0]`` primary.
+        Table rows come out in discovery order, which follows adjacency
+        insertion order.
+
+        Decision provenance is fetched once per compute.  Capture sites
+        guard on ``prov is not None``, per offer only inside branches
+        that already skip it, so an uncaptured compute builds no trail
+        objects and pays one check per routed node.
         """
-        if self._use_flat and provenance.active() is None:
-            return self._compute_flat(announcement)
-        return self._compute_dict(announcement)
+        from repro.routing.flat import FlatRoutingTable
+        from repro.topology.flat import flat_adjacency
 
-    def _compute_dict(self, announcement: Announcement) -> RoutingTable:
         topo = self._topology
-        prefix = announcement.prefix
-        # Hoisted once per compute: the provenance branches below render
-        # the prefix on every rejected offer, which runs inside the
-        # stage loops.
-        prefix_str = str(prefix)
+        adj = flat_adjacency(topo)
+        prefix_str = str(announcement.prefix)
         origin_spec: dict[int, OriginSpec] = {
             spec.site_node: spec for spec in announcement.origins
         }
@@ -433,19 +401,13 @@ class RoutingEngine:
             if not topo.has_node(site):
                 raise ValueError(f"announcement origin {site} not in topology")
 
-        best: dict[int, RouteChoice] = {
-            site: RouteChoice(
-                routes=(
-                    Route(prefix=prefix, origin=site, path=(site,),
-                          tier=PrefTier.ORIGIN),
-                )
-            )
-            for site in origin_spec
+        exit_km = adj.exit_km
+        max_equal = self.MAX_EQUAL_BEST
+
+        best: dict[int, tuple[int, list[tuple[int, ...]]]] = {
+            site: (int(PrefTier.ORIGIN), [(site,)]) for site in origin_spec
         }
 
-        # Decision provenance (repro.explain): fetched once per compute;
-        # every capture site below guards on `prov is not None`, so the
-        # disabled path costs one global load and no per-route work.
         prov = provenance.active()
         if prov is not None:
             for site in origin_spec:
@@ -465,298 +427,26 @@ class RoutingEngine:
             spec = origin_spec.get(exporter)
             return spec is None or spec.announces_to(neighbor)
 
-        # --- Stage 1: customer routes up ------------------------------
-        with obs.span("routing.stage1_customer"):
-            export_checks = 0
-            routes_pushed = 0
-            frontier = list(origin_spec)
-            while frontier:
-                candidates: dict[int, list[Route]] = {}
-                level_rejects: dict[int, list[RouteCandidate]] = {}
-                for u in frontier:
-                    route_u = best[u].primary
-                    for p in topo.providers_of(u):
-                        if p in best:
-                            if prov is not None:
-                                self._record_reject(prov, prefix_str, p, RouteCandidate(
-                                    path=(p,) + route_u.path, tier="customer",
-                                    via=u, accepted=False, reason="longer-path"))
-                            continue
-                        export_checks += 1
-                        if not may_export(u, p):
-                            if prov is not None:
-                                level_rejects.setdefault(p, []).append(RouteCandidate(
-                                    path=(p,) + route_u.path, tier="customer",
-                                    via=u, accepted=False, reason="not-exported"))
-                            continue
-                        if p in route_u.path:
-                            if prov is not None:
-                                level_rejects.setdefault(p, []).append(RouteCandidate(
-                                    path=(p,) + route_u.path, tier="customer",
-                                    via=u, accepted=False, reason="loop"))
-                            continue
-                        routes_pushed += 1
-                        candidates.setdefault(p, []).append(
-                            Route(
-                                prefix=prefix,
-                                origin=route_u.origin,
-                                path=(p,) + route_u.path,
-                                tier=PrefTier.CUSTOMER,
-                            )
-                        )
-                frontier = []
-                for p, routes in candidates.items():
-                    # BFS level fixes the hop count, so all are equal-best.
-                    best[p] = self._make_choice(
-                        p, routes, prov=prov, stage="stage1-customer",
-                        rejected=level_rejects.get(p))
-                    frontier.append(p)
-            obs.counter.inc("routing.export_checks", export_checks)
-            obs.counter.inc("routing.routes_pushed", routes_pushed)
-
-        # --- Stage 2: peer routes, one lateral hop ---------------------
-        with obs.span("routing.stage2_peer"):
-            export_checks = 0
-            routes_pushed = 0
-            peer_candidates: dict[int, list[Route]] = {}
-            peer_rejects: dict[int, list[RouteCandidate]] = {}
-            for u, choice_u in best.items():
-                route_u = choice_u.primary
-                for v, kind in topo.peers_of(u):
-                    if v in best:
-                        if prov is not None:
-                            self._record_reject(prov, prefix_str, v, RouteCandidate(
-                                path=(v,) + route_u.path,
-                                tier=("rs_peer" if kind is LinkKind.PEER_ROUTE_SERVER
-                                      else "peer"),
-                                via=u, accepted=False, reason="held-better-tier"))
-                        continue
-                    export_checks += 1
-                    if not may_export(u, v):
-                        if prov is not None:
-                            peer_rejects.setdefault(v, []).append(RouteCandidate(
-                                path=(v,) + route_u.path, tier="peer",
-                                via=u, accepted=False, reason="not-exported"))
-                        continue
-                    if v in route_u.path:
-                        if prov is not None:
-                            peer_rejects.setdefault(v, []).append(RouteCandidate(
-                                path=(v,) + route_u.path, tier="peer",
-                                via=u, accepted=False, reason="loop"))
-                        continue
-                    tier = (
-                        PrefTier.RS_PEER
-                        if kind is LinkKind.PEER_ROUTE_SERVER
-                        else PrefTier.PEER
-                    )
-                    routes_pushed += 1
-                    peer_candidates.setdefault(v, []).append(
-                        Route(
-                            prefix=prefix,
-                            origin=route_u.origin,
-                            path=(v,) + route_u.path,
-                            tier=tier,
-                        )
-                    )
-            for v, routes in peer_candidates.items():
-                top_tier = max(r.tier for r in routes)
-                tiered = [r for r in routes if r.tier is top_tier]
-                min_hops = min(r.hops for r in tiered)
-                equal = [r for r in tiered if r.hops == min_hops]
-                if prov is not None:
-                    rejects = peer_rejects.setdefault(v, [])
-                    rejects.extend(
-                        RouteCandidate(path=r.path, tier=r.tier.name.lower(),
-                                       via=r.next_hop, accepted=False,
-                                       reason="lower-tier")
-                        for r in routes if r.tier is not top_tier
-                    )
-                    rejects.extend(
-                        RouteCandidate(path=r.path, tier=r.tier.name.lower(),
-                                       via=r.next_hop, accepted=False,
-                                       reason="longer-path")
-                        for r in tiered if r.hops != min_hops
-                    )
-                best[v] = self._make_choice(
-                    v, equal, prov=prov, stage="stage2-peer",
-                    rejected=peer_rejects.get(v))
-            obs.counter.inc("routing.export_checks", export_checks)
-            obs.counter.inc("routing.routes_pushed", routes_pushed)
-
-        # --- Stage 3: provider routes down ------------------------------
-        with obs.span("routing.stage3_provider"):
-            export_checks = 0
-            routes_pushed = 0
-            heap: list[tuple[int, float, int, int, int]] = []
-            route_of_entry: dict[tuple[int, float, int, int, int], Route] = {}
-
-            def push(candidate: Route, via: int) -> None:
-                nonlocal routes_pushed
-                routes_pushed += 1
-                entry = (
-                    candidate.hops,
-                    self._exit_km(candidate.holder, via),
-                    via,
-                    candidate.origin,
-                    candidate.holder,
-                )
-                route_of_entry[entry] = candidate
-                heapq.heappush(heap, entry)
-
-            provider_rejects: dict[int, list[RouteCandidate]] = {}
-            for u, choice_u in best.items():
-                route_u = choice_u.primary
-                for c in topo.customers_of(u):
-                    if c in best:
-                        if prov is not None:
-                            self._record_reject(prov, prefix_str, c, RouteCandidate(
-                                path=(c,) + route_u.path, tier="provider",
-                                via=u, accepted=False, reason="held-better-tier"))
-                        continue
-                    export_checks += 1
-                    if not may_export(u, c):
-                        if prov is not None:
-                            provider_rejects.setdefault(c, []).append(RouteCandidate(
-                                path=(c,) + route_u.path, tier="provider",
-                                via=u, accepted=False, reason="not-exported"))
-                        continue
-                    if c in route_u.path:
-                        if prov is not None:
-                            provider_rejects.setdefault(c, []).append(RouteCandidate(
-                                path=(c,) + route_u.path, tier="provider",
-                                via=u, accepted=False, reason="loop"))
-                        continue
-                    push(
-                        Route(prefix=prefix, origin=route_u.origin,
-                              path=(c,) + route_u.path, tier=PrefTier.PROVIDER),
-                        via=u,
-                    )
-            provider_routes: dict[int, list[Route]] = {}
-            provider_hops: dict[int, int] = {}
-            while heap:
-                entry = heapq.heappop(heap)
-                cand = route_of_entry.pop(entry)
-                node = cand.holder
-                if node in best:
-                    continue
-                assigned = provider_hops.get(node)
-                if assigned is None:
-                    # First (best) provider route: assign and export onward.
-                    provider_hops[node] = cand.hops
-                    provider_routes[node] = [cand]
-                    for c in topo.customers_of(node):
-                        if c in best:
-                            if prov is not None:
-                                self._record_reject(
-                                    prov, prefix_str, c, RouteCandidate(
-                                        path=(c,) + cand.path, tier="provider",
-                                        via=node, accepted=False,
-                                        reason="held-better-tier"))
-                            continue
-                        if c in cand.path:
-                            if prov is not None:
-                                provider_rejects.setdefault(c, []).append(
-                                    RouteCandidate(
-                                        path=(c,) + cand.path, tier="provider",
-                                        via=node, accepted=False, reason="loop"))
-                            continue
-                        push(
-                            Route(prefix=prefix, origin=cand.origin,
-                                  path=(c,) + cand.path, tier=PrefTier.PROVIDER),
-                            via=node,
-                        )
-                elif cand.hops == assigned:
-                    # Equal-best alternate via a different neighbor.
-                    existing = provider_routes[node]
-                    if (
-                        len(existing) < self.MAX_EQUAL_BEST
-                        and all(r.next_hop != cand.next_hop for r in existing)
-                    ):
-                        existing.append(cand)
-                    elif prov is not None:
-                        reason = ("duplicate-exit"
-                                  if any(r.next_hop == cand.next_hop
-                                         for r in existing)
-                                  else "equal-best-overflow")
-                        provider_rejects.setdefault(node, []).append(RouteCandidate(
-                            path=cand.path, tier="provider",
-                            via=cand.next_hop, accepted=False, reason=reason))
-                else:
-                    # Longer provider routes are simply ignored.
-                    if prov is not None:
-                        provider_rejects.setdefault(node, []).append(RouteCandidate(
-                            path=cand.path, tier="provider",
-                            via=cand.next_hop, accepted=False,
-                            reason="longer-path"))
-            for node, routes in provider_routes.items():
-                best[node] = self._make_choice(
-                    node, routes, prov=prov, stage="stage3-provider",
-                    rejected=provider_rejects.get(node))
-            obs.counter.inc("routing.export_checks", export_checks)
-            obs.counter.inc("routing.routes_pushed", routes_pushed)
-
-        table = RoutingTable(
-            announcement=announcement,
-            best=best,
-            topology_version=topo.version,
-            _num_nodes=topo.num_nodes,
-        )
-        obs.gauge.set("routing.routed_nodes", len(best))
-        if prov is not None:
-            prov.emit("routing.table-computed", prefix=prefix_str,
-                      routed=len(best), origins=len(origin_spec))
-        return table
-
-    # ------------------------------------------------------------------
-    def _compute_flat(self, announcement: Announcement) -> RoutingTable:
-        """The three-stage sweep over flat arrays and plain path tuples.
-
-        A route is just its AS-path tuple (``path[0]`` the holder,
-        ``path[1]`` the next hop, ``path[-1]`` the origin); a node's
-        equal-best set is ``(tier, [paths])`` with ``paths[0]`` primary.
-        Every ordering decision — BFS-level candidate discovery order,
-        the hot-potato sort key, heap entry tuples, equal-best caps and
-        dedup — mirrors :meth:`_compute_dict` exactly, so the packed
-        table it returns encodes byte-identically.  Runs only when no
-        provenance capture is active (trails need the dict path's
-        ``Route`` objects).
-        """
-        from repro.routing.flat import FlatRoutingTable
-
-        topo = self._topology
-        adj = self._adjacency()
-        origin_spec: dict[int, OriginSpec] = {
-            spec.site_node: spec for spec in announcement.origins
-        }
-        for site in origin_spec:
-            if not topo.has_node(site):
-                raise ValueError(f"announcement origin {site} not in topology")
-
-        exit_km = adj.exit_km
-        max_equal = self.MAX_EQUAL_BEST
-
-        best: dict[int, tuple[int, list[tuple[int, ...]]]] = {
-            site: (int(PrefTier.ORIGIN), [(site,)]) for site in origin_spec
-        }
-
-        def may_export(exporter: int, neighbor: int) -> bool:
-            spec = origin_spec.get(exporter)
-            return spec is None or spec.announces_to(neighbor)
-
         splits = 0
 
         def settle(
-            node: int, paths: list[tuple[int, ...]]
+            node: int,
+            tier: int,
+            paths: list[tuple[int, ...]],
+            stage: str,
+            rejects: dict[int, list[RouteCandidate]],
         ) -> list[tuple[int, ...]]:
-            """Hot-potato sort + equal-best cap (cf. :meth:`_make_choice`)."""
+            """Hot-potato sort + equal-best cap; records the trail."""
             nonlocal splits
             if len(paths) > 1:
                 paths.sort(
                     key=lambda path: (exit_km(node, path[1]), path[1], path[-1])
                 )
-                del paths[max_equal:]
-                if len(paths) > 1:
-                    splits += 1
+                splits += 1
+            if prov is not None:
+                self._record_trail(prov, prefix_str, node, tier, stage,
+                                   paths, rejects.get(node))
+            del paths[max_equal:]
             return paths
 
         # --- Stage 1: customer routes up ------------------------------
@@ -768,15 +458,25 @@ class RoutingEngine:
             frontier = list(origin_spec)
             while frontier:
                 candidates: dict[int, list[tuple[int, ...]]] = {}
+                level_rejects: dict[int, list[RouteCandidate]] = {}
                 for u in frontier:
                     path_u = best[u][1][0]
                     for p in providers(u):
                         if p in best:
+                            if prov is not None:
+                                self._record_reject(prov, prefix_str, p, _rejected(
+                                    (p,) + path_u, "customer", u, "longer-path"))
                             continue
                         export_checks += 1
                         if not may_export(u, p):
+                            if prov is not None:
+                                level_rejects.setdefault(p, []).append(_rejected(
+                                    (p,) + path_u, "customer", u, "not-exported"))
                             continue
                         if p in path_u:
+                            if prov is not None:
+                                level_rejects.setdefault(p, []).append(_rejected(
+                                    (p,) + path_u, "customer", u, "loop"))
                             continue
                         routes_pushed += 1
                         extended = (p,) + path_u
@@ -788,7 +488,9 @@ class RoutingEngine:
                 frontier = []
                 for p, paths in candidates.items():
                     # BFS level fixes the hop count, so all are equal-best.
-                    best[p] = (customer_tier, settle(p, paths))
+                    best[p] = (customer_tier, settle(
+                        p, customer_tier, paths, "stage1-customer",
+                        level_rejects))
                     frontier.append(p)
             obs.counter.inc("routing.export_checks", export_checks)
             obs.counter.inc("routing.routes_pushed", routes_pushed)
@@ -804,15 +506,26 @@ class RoutingEngine:
             peer_candidates: dict[
                 int, tuple[list[int], list[tuple[int, ...]]]
             ] = {}
+            peer_rejects: dict[int, list[RouteCandidate]] = {}
             for u, (_tier_u, paths_u) in best.items():
                 path_u = paths_u[0]
                 for v, tier in peers(u):
                     if v in best:
+                        if prov is not None:
+                            self._record_reject(prov, prefix_str, v, _rejected(
+                                (v,) + path_u, _TIER_NAMES[tier], u,
+                                "held-better-tier"))
                         continue
                     export_checks += 1
                     if not may_export(u, v):
+                        if prov is not None:
+                            peer_rejects.setdefault(v, []).append(_rejected(
+                                (v,) + path_u, "peer", u, "not-exported"))
                         continue
                     if v in path_u:
+                        if prov is not None:
+                            peer_rejects.setdefault(v, []).append(_rejected(
+                                (v,) + path_u, "peer", u, "loop"))
                         continue
                     routes_pushed += 1
                     held_peer = peer_candidates.get(v)
@@ -826,7 +539,18 @@ class RoutingEngine:
                 tiered = [p for t, p in zip(tiers, paths) if t == top_tier]
                 min_len = min(len(p) for p in tiered)
                 equal = [p for p in tiered if len(p) == min_len]
-                best[v] = (top_tier, settle(v, equal))
+                if prov is not None:
+                    rejects = peer_rejects.setdefault(v, [])
+                    rejects.extend(
+                        _rejected(p, _TIER_NAMES[t], p[1], "lower-tier")
+                        for t, p in zip(tiers, paths) if t != top_tier
+                    )
+                    rejects.extend(
+                        _rejected(p, _TIER_NAMES[top_tier], p[1], "longer-path")
+                        for p in tiered if len(p) != min_len
+                    )
+                best[v] = (top_tier, settle(
+                    v, top_tier, equal, "stage2-peer", peer_rejects))
             obs.counter.inc("routing.export_checks", export_checks)
             obs.counter.inc("routing.routes_pushed", routes_pushed)
             if splits:
@@ -857,15 +581,26 @@ class RoutingEngine:
                 path_of_entry[entry] = path
                 heapq.heappush(heap, entry)
 
+            provider_rejects: dict[int, list[RouteCandidate]] = {}
             for u, (_tier_u, paths_u) in best.items():
                 path_u = paths_u[0]
                 for c in customers(u):
                     if c in best:
+                        if prov is not None:
+                            self._record_reject(prov, prefix_str, c, _rejected(
+                                (c,) + path_u, "provider", u,
+                                "held-better-tier"))
                         continue
                     export_checks += 1
                     if not may_export(u, c):
+                        if prov is not None:
+                            provider_rejects.setdefault(c, []).append(_rejected(
+                                (c,) + path_u, "provider", u, "not-exported"))
                         continue
                     if c in path_u:
+                        if prov is not None:
+                            provider_rejects.setdefault(c, []).append(_rejected(
+                                (c,) + path_u, "provider", u, "loop"))
                         continue
                     push((c,) + path_u, u)
             provider_paths: dict[int, list[tuple[int, ...]]] = {}
@@ -883,8 +618,15 @@ class RoutingEngine:
                     provider_paths[node] = [path]
                     for c in customers(node):
                         if c in best:
+                            if prov is not None:
+                                self._record_reject(prov, prefix_str, c, _rejected(
+                                    (c,) + path, "provider", node,
+                                    "held-better-tier"))
                             continue
                         if c in path:
+                            if prov is not None:
+                                provider_rejects.setdefault(c, []).append(_rejected(
+                                    (c,) + path, "provider", node, "loop"))
                             continue
                         push((c,) + path, node)
                 elif entry[0] == assigned:
@@ -896,9 +638,21 @@ class RoutingEngine:
                         and all(p[1] != via for p in existing)
                     ):
                         existing.append(path)
-                # Longer provider routes are simply ignored.
+                    elif prov is not None:
+                        reason = ("duplicate-exit"
+                                  if any(p[1] == via for p in existing)
+                                  else "equal-best-overflow")
+                        provider_rejects.setdefault(node, []).append(_rejected(
+                            path, "provider", via, reason))
+                elif prov is not None:
+                    # Longer provider routes are ignored; only a trail
+                    # notes them.
+                    provider_rejects.setdefault(node, []).append(_rejected(
+                        path, "provider", path[1], "longer-path"))
             for node, paths in provider_paths.items():
-                best[node] = (provider_tier, settle(node, paths))
+                best[node] = (provider_tier, settle(
+                    node, provider_tier, paths, "stage3-provider",
+                    provider_rejects))
             obs.counter.inc("routing.export_checks", export_checks)
             obs.counter.inc("routing.routes_pushed", routes_pushed)
             if splits:
@@ -914,4 +668,7 @@ class RoutingEngine:
             ),
         )
         obs.gauge.set("routing.routed_nodes", len(best))
+        if prov is not None:
+            prov.emit("routing.table-computed", prefix=prefix_str,
+                      routed=len(best), origins=len(origin_spec))
         return table

@@ -20,8 +20,8 @@ objects materialize lazily (and are cached per row) only on inspection
 paths — forwarding, explain, catchment summaries.  The ``best`` mapping
 the rest of the codebase iterates is a read-only view whose iteration
 order is the packed row order, which is what keeps ``encode_table`` (and
-with it every serial-vs-parallel digest) byte-identical between dict and
-flat computes.
+with it every serial-vs-parallel digest) byte-identical across serial,
+parallel and cached computes.
 
 Pickling ships the packed columns, so a worker process returns five
 array buffers instead of a dataclass tree — the shrunken merge payload

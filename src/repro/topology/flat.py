@@ -11,10 +11,9 @@ graphs — and so forked workers inherit one compact, copy-on-write block
 instead of touching (and copying) the object topology's refcounts.
 
 Neighbor order inside each CSR row is the *insertion order* of the
-underlying topology's adjacency lists.  The engine's results are
-insertion-order sensitive (equal-best sets preserve discovery order
-before the hot-potato sort), so this mirroring is what keeps flat and
-dict computes byte-identical.
+underlying topology's adjacency lists.  A routing table's row order
+is the engine's discovery order, so this mirroring is what keeps row
+order, and with it the codec bytes and routing digests, stable.
 
 The exit-kilometre metric (nearest PoP to nearest link interconnect —
 the hot-potato tie-break) is served from a per-adjacency memo backed by

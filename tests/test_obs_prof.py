@@ -201,16 +201,22 @@ class TestAcceptance:
         from repro.experiments.world import World
 
         obs.uninstall()
-        start = time.perf_counter()
         with obs.recording("plain"):
+            start = time.perf_counter()
             World(SMALL)
-        plain_s = time.perf_counter() - start
+            plain_s = time.perf_counter() - start
 
         profiler = SpanProfiler("prof")
-        start = time.perf_counter()
         with obs.recording("prof", profiler=profiler) as rec:
+            start = time.perf_counter()
             World(SMALL)
-        profiled_s = time.perf_counter() - start
+            profiled_s = time.perf_counter() - start
+            # Two span paths whose self time clears the 250 ms floor on
+            # any machine, so the path-sum check never runs out of
+            # substantial spans on a fast build.
+            for name in ("test.spin_a", "test.spin_b"):
+                with obs.span(name):
+                    _spin_ms(300.0)
         return plain_s, profiled_s, profiler.snapshot(), rec.root
 
     def test_overhead_under_3x(self, profiled_small_build):

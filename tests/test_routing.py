@@ -19,8 +19,10 @@ from repro.topology.asys import (
     PoP,
     Tier,
 )
+from repro.topology.flat import flat_adjacency
 from repro.topology.graph import Topology
 from repro.topology.ixp import IXP
+from tests.path_vector import assert_matches_oracle
 
 ATLAS = load_default_atlas()
 PREFIX = IPv4Prefix.parse("198.18.0.0/24")
@@ -478,9 +480,10 @@ class TestEqualBestBounds:
         assert choice is not None
         assert len(choice.routes) == RoutingEngine.MAX_EQUAL_BEST
         # The kept set is ordered by the engine's within-set rank...
-        engine = RoutingEngine(net.topo)
+        exit_km = flat_adjacency(net.topo).exit_km
         ranked = sorted(
-            choice.routes, key=lambda r: engine._rank_key(dest, r)
+            choice.routes,
+            key=lambda r: (exit_km(dest, r.next_hop), r.next_hop, r.origin),
         )
         assert list(choice.routes) == ranked
         # ...and is exactly the best sixteen of all twenty candidates.
@@ -501,32 +504,31 @@ class TestEqualBestBounds:
         assert {r.hops for r in choice.routes} == {choice.hops}
 
 
-class TestExitKmCache:
-    def test_invalidated_on_topology_version_bump(self):
+class TestTopologyMutation:
+    def test_recompute_picks_up_new_customer_links(self):
+        """New links bump the topology version; the same engine then
+        re-resolves adjacency and exit km and routes over them."""
         net = Net()
-        a = net.node(1, "FRA")
-        b = net.node(2, "AMS")
-        net.transit(a, b, iata="AMS")
+        dest = net.node(10, "LHR")
+        for origin, mid, iata in ((1, 3, "FRA"), (2, 4, "AMS")):
+            net.node(origin, iata, tier=Tier.STUB)
+            net.node(mid, iata)
+            net.transit(origin, mid, iata=iata)
+            net.transit(mid, dest, iata=iata)
+        ann = Announcement.from_sites(PREFIX, [1, 2])
         engine = RoutingEngine(net.topo)
-        km = engine._exit_km(1, 2)
-        assert (1, 2) in engine._exit_km_cache
-        before = net.topo.version
-        net.node(3, "LHR")  # any mutation bumps the version
-        assert net.topo.version > before
-        km_again = engine._exit_km(1, 2)
-        assert km_again == pytest.approx(km)
-        # The stale cache was dropped, then repopulated with this entry.
-        assert engine._exit_km_version == net.topo.version
-        assert set(engine._exit_km_cache) == {(1, 2)}
-
-    def test_memoizes_within_one_version(self):
-        net = Net()
-        a = net.node(1, "FRA")
-        b = net.node(2, "AMS")
-        net.transit(a, b, iata="AMS")
-        engine = RoutingEngine(net.topo)
-        assert engine._exit_km(1, 2) == pytest.approx(engine._exit_km(1, 2))
-        assert len(engine._exit_km_cache) == 1
+        before = engine.compute(ann)
+        assert before.choice_at(dest).primary.path == (10, 4, 2)
+        assert_matches_oracle(net.topo, before)
+        version = net.topo.version
+        net.transit(1, dest, iata="CDG")
+        net.transit(2, dest, iata="LHR")
+        assert net.topo.version > version
+        after = engine.compute(ann)
+        choice = after.choice_at(dest)
+        assert choice.tier is PrefTier.CUSTOMER and choice.hops == 1
+        assert [r.path for r in choice.routes] == [(10, 2), (10, 1)]
+        assert_matches_oracle(net.topo, after)
 
 
 class TestRoutingTableNumNodes:

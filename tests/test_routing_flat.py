@@ -1,22 +1,20 @@
-"""Dict-vs-flat equivalence for the packed routing store.
+"""The packed routing store: pinned output, capture, and edge cases.
 
-The flat compute path (:meth:`RoutingEngine._compute_flat` returning a
-:class:`repro.routing.flat.FlatRoutingTable`) must be observationally
-identical to the dict path it replaced: byte-identical codec encodings,
-the same inspection-API answers, and the same explain trails (provenance
-captures force the dict path).  Every test here compares the two paths
-on the same topology and announcement.
+Edge cases are checked against the exact path-vector reference in
+:mod:`tests.path_vector` as well as by hand.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.experiments.config import SMALL
+from repro.experiments.world import World
 from repro.explain import provenance
 from repro.geo.atlas import load_default_atlas
 from repro.netaddr.ipv4 import IPv4Address, IPv4Prefix
 from repro.par.cache import decode_table, encode_table, tables_digest
-from repro.routing.engine import FLAT_ENV, RoutingEngine
+from repro.routing.engine import RoutingEngine
 from repro.routing.flat import FlatRoutingTable
 from repro.routing.route import Announcement, OriginSpec
 from repro.topology.asys import (
@@ -28,6 +26,7 @@ from repro.topology.asys import (
     Tier,
 )
 from repro.topology.graph import Topology
+from tests.path_vector import assert_matches_oracle
 
 ATLAS = load_default_atlas()
 PREFIX = IPv4Prefix.parse("198.18.0.0/24")
@@ -61,98 +60,27 @@ class Net:
                                 interconnects=(self._ic(iata),)))
 
 
-def _pair(topology, announcement):
-    """(flat table, dict table) for one announcement."""
-    flat = RoutingEngine(topology, use_flat=True).compute_uncached(announcement)
-    dict_ = RoutingEngine(topology, use_flat=False).compute_uncached(announcement)
-    assert isinstance(flat, FlatRoutingTable)
-    assert not isinstance(dict_, FlatRoutingTable)
-    return flat, dict_
+#: SMALL routing digest over every registered announcement; a change to
+#: routing output shows up here first.
+SMALL_TABLES_DIGEST = (
+    "6829ed2a9a305d1269ccc2900c1f54ce31d9f4fcbfaedecdb1389033760ee1f0"
+)
 
 
-def _assert_equivalent(topology, flat, dict_):
-    """The full inspection-API parity check between the two stores."""
-    assert encode_table(flat) == encode_table(dict_)
-    assert tables_digest([flat]) == tables_digest([dict_])
-    assert flat.num_routes() == dict_.num_routes()
-    assert flat.reachable_fraction() == dict_.reachable_fraction()
-    assert flat.best == dict_.best
-    assert dict_.best == flat.best
-    for node in topology.nodes():
-        node_id = node.node_id
-        assert flat.catchment_of(node_id) == dict_.catchment_of(node_id)
-        f_choice = flat.choice_at(node_id)
-        d_choice = dict_.choice_at(node_id)
-        if d_choice is None:
-            assert f_choice is None
-            assert flat.route_at(node_id) is None
-        else:
-            assert f_choice is not None
-            assert f_choice.routes == d_choice.routes
-            assert flat.route_at(node_id) == dict_.route_at(node_id)
-
-
-class TestSmallWorldEquivalence:
-    def test_every_announcement_matches(self, small_world):
-        announcements = small_world.registry.announcements()
-        assert announcements
-        for announcement in announcements:
-            flat, dict_ = _pair(small_world.topology, announcement)
-            _assert_equivalent(small_world.topology, flat, dict_)
-
-    def test_batch_digests_identical(self, small_world):
-        announcements = small_world.registry.announcements()
-        flat_engine = RoutingEngine(small_world.topology, use_flat=True)
-        dict_engine = RoutingEngine(small_world.topology, use_flat=False)
-        flat_digest = tables_digest(
-            flat_engine.compute(a) for a in announcements
-        )
-        dict_digest = tables_digest(
-            dict_engine.compute(a) for a in announcements
-        )
-        assert flat_digest == dict_digest
-
-
-class TestDefaultTopologyEquivalence:
-    @pytest.fixture(scope="class")
-    def default_topology(self):
-        from repro.experiments.config import DEFAULT
-        from repro.topology.builder import InternetBuilder
-
-        return InternetBuilder(DEFAULT.topology).build()
-
-    def test_anycast_announcement_matches(self, default_topology):
-        stubs = [n.node_id for n in default_topology.nodes()
-                 if n.tier is Tier.STUB]
-        announcement = Announcement(
-            prefix=PREFIX,
-            origins=(OriginSpec(site_node=stubs[0]),
-                     OriginSpec(site_node=stubs[len(stubs) // 2]),
-                     OriginSpec(site_node=stubs[-1])),
-        )
-        flat, dict_ = _pair(default_topology, announcement)
-        _assert_equivalent(default_topology, flat, dict_)
-
-
-class TestFlatKnob:
-    def test_env_disables_flat_path(self, tiny_topology, monkeypatch):
-        monkeypatch.setenv(FLAT_ENV, "0")
-        engine = RoutingEngine(tiny_topology)
-        assert engine._use_flat is False
-        monkeypatch.setenv(FLAT_ENV, "1")
-        assert RoutingEngine(tiny_topology)._use_flat is True
-        monkeypatch.delenv(FLAT_ENV)
-        assert RoutingEngine(tiny_topology)._use_flat is True
-
-    def test_explicit_argument_wins(self, tiny_topology, monkeypatch):
-        monkeypatch.setenv(FLAT_ENV, "0")
-        assert RoutingEngine(tiny_topology, use_flat=True)._use_flat is True
+class TestSmallWorldDigest:
+    def test_tables_digest_pinned(self):
+        # A fresh world: the shared session world is mutated by other
+        # tests (extra announcements, failed sites).
+        world = World(SMALL)
+        engine = RoutingEngine(world.topology)
+        tables = engine.compute_many(world.registry.announcements())
+        assert tables_digest(tables) == SMALL_TABLES_DIGEST
 
 
 class TestExplainTrailParity:
-    """Provenance captures force the dict path inside a flat-default
-    engine, so explain trails keep their Route-object fidelity — and the
-    table computed under capture still digests identically."""
+    """Provenance capture runs the production sweep: the table computed
+    under capture is the same packed table, and every routed node gets
+    a selection trail."""
 
     def test_trails_and_digest_under_capture(self, tiny_topology):
         stub = next(n.node_id for n in tiny_topology.nodes()
@@ -160,23 +88,22 @@ class TestExplainTrailParity:
         announcement = Announcement(
             prefix=PREFIX, origins=(OriginSpec(site_node=stub),)
         )
-        engine = RoutingEngine(tiny_topology, use_flat=True)
+        engine = RoutingEngine(tiny_topology)
         baseline = engine.compute_uncached(announcement)
-        assert isinstance(baseline, FlatRoutingTable)
         with provenance.capturing() as recorder:
             captured = engine.compute_uncached(announcement)
-        assert not isinstance(captured, FlatRoutingTable)
+        assert isinstance(captured, FlatRoutingTable)
         assert encode_table(captured) == encode_table(baseline)
         trailed = [
             node_id for node_id in captured.best
             if recorder.selection_for(str(PREFIX), node_id) is not None
         ]
-        assert trailed, "capture produced no selection trails"
+        assert trailed == list(captured.best)
 
 
 class TestFlatEdgeCases:
     def test_equal_best_overflow_capped_like_dict(self):
-        """>16 equal candidates at one node: both stores keep the same 16."""
+        """>16 equal candidates at one node: the best 16 are kept."""
         net = Net()
         sink = net.node(1, tier=Tier.STUB)
         origins = []
@@ -188,13 +115,13 @@ class TestFlatEdgeCases:
             prefix=PREFIX,
             origins=tuple(OriginSpec(site_node=o) for o in origins),
         )
-        flat, dict_ = _pair(net.topo, announcement)
-        _assert_equivalent(net.topo, flat, dict_)
+        flat = RoutingEngine(net.topo).compute_uncached(announcement)
+        assert_matches_oracle(net.topo, flat)
         choice = flat.choice_at(sink)
         assert choice is not None and len(choice.routes) == 16
 
     def test_unreachable_node_absent_from_flat_store(self):
-        """Export restriction leaves a node unreachable in both stores."""
+        """Export restriction leaves a node unreachable."""
         net = Net()
         origin = net.node(1, tier=Tier.STUB)
         reached = net.node(2)
@@ -207,8 +134,8 @@ class TestFlatEdgeCases:
             prefix=PREFIX,
             origins=(OriginSpec(site_node=origin, neighbors=(reached,)),),
         )
-        flat, dict_ = _pair(net.topo, announcement)
-        _assert_equivalent(net.topo, flat, dict_)
+        flat = RoutingEngine(net.topo).compute_uncached(announcement)
+        assert_matches_oracle(net.topo, flat)
         assert flat.choice_at(starved) is None
         assert flat.catchment_of(starved) is None
         assert flat.reachable_fraction() == pytest.approx(2.0 / 3.0)
@@ -223,8 +150,8 @@ class TestFlatEdgeCases:
         announcement = Announcement(
             prefix=PREFIX, origins=(OriginSpec(site_node=origin),)
         )
-        flat, dict_ = _pair(net.topo, announcement)
-        _assert_equivalent(net.topo, flat, dict_)
+        flat = RoutingEngine(net.topo).compute_uncached(announcement)
+        assert_matches_oracle(net.topo, flat)
         assert flat.choice_at(stranded) is None
         assert flat.reachable_fraction() == pytest.approx(2.0 / 3.0)
         blob = encode_table(flat)
