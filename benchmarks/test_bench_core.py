@@ -61,16 +61,25 @@ def test_bench_forwarding_walk(benchmark, world):
 
 
 def test_bench_ping_batch(benchmark, world):
-    """End-to-end pings (routing cached) for 200 probes."""
+    """One ``ping_many`` batch (routing cached) from 200 probes."""
     addr = world.imperva.im6.address_of_region("EMEA")
     world.engine.table_for(addr)  # warm the routing cache
     probes = world.usable_probes[:200]
 
-    def pings():
-        return [world.engine.ping(p, addr) for p in probes]
-
-    results = benchmark(pings)
+    results = benchmark(world.engine.ping_many, probes, addr)
+    assert len(results) == len(probes)
     assert all(r.reachable for r in results)
+
+
+def test_bench_trace_batch(benchmark, world):
+    """One ``trace_many`` batch (routing cached) from 200 probes."""
+    addr = world.imperva.im6.address_of_region("EMEA")
+    world.engine.table_for(addr)  # warm the routing cache
+    probes = world.usable_probes[:200]
+
+    results = benchmark(world.engine.trace_many, probes, addr)
+    assert len(results) == len(probes)
+    assert all(r.reached for r in results)
 
 
 def test_bench_sitemap_pipeline(benchmark, world):

@@ -216,8 +216,9 @@ class World:
                     cached = fleet.ping_all(addr, salt=salt)
                 else:
                     cached = {
-                        p.probe_id: self.engine.ping(p, addr, salt=salt)
-                        for p in self.usable_probes
+                        r.probe_id: r
+                        for r in self.engine.ping_many(
+                            self.usable_probes, addr, salt=salt)
                     }
                 obs.counter.inc("measurement.pings", len(cached))
             self._ping_cache[key] = cached
@@ -233,8 +234,8 @@ class World:
                     cached = fleet.trace_all(addr)
                 else:
                     cached = {
-                        p.probe_id: self.engine.traceroute(p, addr)
-                        for p in self.usable_probes
+                        r.probe_id: r
+                        for r in self.engine.trace_many(self.usable_probes, addr)
                     }
                 obs.counter.inc("measurement.traceroutes", len(cached))
             self._trace_cache[addr] = cached

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Protocol
 
 from repro.routing.engine import RouteChoice, RoutingTable
+from repro.routing.flat import FlatRoutingTable
 from repro.routing.forwarding import trace_forwarding_path
 from repro.routing.route import Announcement, PrefTier, Route
 from repro.topology.asys import LinkKind
@@ -377,7 +378,7 @@ def check_registry(
 
 def check_catchments(
     topology: Topology,
-    table: RoutingTable,
+    table: FlatRoutingTable,
     require_full_reachability: bool = True,
 ) -> list[InvariantFinding]:
     """Every client resolves to exactly one announced origin site."""
@@ -446,7 +447,7 @@ class _HasRouting(Protocol):
 class _ComputesTables(Protocol):
     def compute(
         self, announcement: Announcement
-    ) -> RoutingTable: ...  # pragma: no cover
+    ) -> FlatRoutingTable: ...  # pragma: no cover
 
 
 def analyze_world(world: WorldLike) -> list[InvariantFinding]:

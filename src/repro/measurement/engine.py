@@ -12,18 +12,25 @@ The engine binds together the routing layer and the probe population:
   same path differ slightly (the §5.3 "same path, different RTT" noise);
 - :meth:`MeasurementEngine.traceroute` additionally reports hops, with a
   deterministic fraction of silent routers (the paper's invalid-p-hop
-  traces, filtered in §5.3).
+  traces, filtered in §5.3);
+- :meth:`MeasurementEngine.ping_many` / :meth:`~MeasurementEngine
+  .trace_many` measure one address from a batch of probes, doing the
+  registry lookup, the table fetch and the jitter-key setup once per
+  batch.  Every campaign loop goes through them; ``ping`` and
+  ``traceroute`` are one-probe batches.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from repro.measurement.probes import Probe
 from repro.netaddr.ipv4 import IPv4Address
-from repro.routing.engine import RoutingEngine, RoutingTable
-from repro.routing.forwarding import ForwardingPath, Hop, trace_forwarding_path
+from repro.routing.engine import RoutingEngine
+from repro.routing.flat import FlatRoutingTable
+from repro.routing.forwarding import ForwardingPath, trace_forwarding_path
 from repro.routing.route import Announcement
 from repro.topology.graph import Topology
 
@@ -160,6 +167,8 @@ class MeasurementEngine:
         # measurement campaign: it uses its own seed so two engines with
         # different campaign seeds see the same silent routers.
         self._hop_silence_seed = hop_silence_seed
+        #: Interface address -> silent?; a pure function of the address.
+        self._silent: dict[IPv4Address, bool] = {}
 
     @property
     def routing(self) -> RoutingEngine:
@@ -170,17 +179,19 @@ class MeasurementEngine:
         return self._registry
 
     # ------------------------------------------------------------------
-    def table_for(self, addr: IPv4Address) -> RoutingTable | None:
+    def table_for(self, addr: IPv4Address) -> FlatRoutingTable | None:
         announcement = self._registry.lookup(addr)
         if announcement is None:
             return None
         return self._routing.compute(announcement)
 
-    def forwarding_path(self, probe: Probe, addr: IPv4Address) -> ForwardingPath | None:
-        """The geographic path a probe's traffic takes toward an address."""
-        table = self.table_for(addr)
-        if table is None:
-            return None
+    def _walk(self, table: FlatRoutingTable, probe: Probe) -> ForwardingPath | None:
+        """The geographic path of a probe's traffic under one table.
+
+        Looks up the module-level ``trace_forwarding_path`` on every
+        call, so a wrapper put there (a tracer, a profiler) sees every
+        walk.
+        """
         return trace_forwarding_path(
             self._topology,
             table,
@@ -196,61 +207,101 @@ class MeasurementEngine:
         (e.g. two hostnames resolving to the same addresses, Appendix C):
         the same (probe, address, salt) always measures the same RTT.
         """
-        path = self.forwarding_path(probe, addr)
-        if path is None:
-            return PingResult(probe_id=probe.probe_id, target=addr,
-                              rtt_ms=None, catchment=None)
-        rtt = path.rtt_ms * (1.0 + self._jitter(probe.probe_id, addr, salt))
-        return PingResult(
-            probe_id=probe.probe_id,
-            target=addr,
-            rtt_ms=rtt,
-            catchment=path.origin,
-        )
+        return self.ping_many((probe,), addr, salt=salt)[0]
 
     def traceroute(self, probe: Probe, addr: IPv4Address) -> TracerouteResult:
         """One traceroute from a probe to a service address."""
-        path = self.forwarding_path(probe, addr)
-        if path is None:
-            return TracerouteResult(
-                probe_id=probe.probe_id, target=addr, hops=(), reached=False, path=None
-            )
-        jitter = 1.0 + self._jitter(probe.probe_id, addr)
-        hops: list[TracerouteHop] = []
-        for ttl, hop in enumerate(path.hops, start=1):
-            if self._hop_silent(hop):
-                hops.append(TracerouteHop(ttl=ttl, addr=None, rtt_ms=None))
+        return self.trace_many((probe,), addr)[0]
+
+    def ping_many(
+        self, probes: Iterable[Probe], addr: IPv4Address, salt: object = None
+    ) -> list[PingResult]:
+        """Ping one service address from each probe, in input order.
+
+        Equal to ``[self.ping(p, addr, salt) for p in probes]``; the
+        registry lookup, the table fetch and the jitter-key prefix are
+        done once per batch.
+        """
+        table = self.table_for(addr)
+        jitter = self._jitter_of(addr, salt)
+        results = []
+        for probe in probes:
+            path = self._walk(table, probe) if table is not None else None
+            if path is None:
+                results.append(PingResult(probe_id=probe.probe_id, target=addr,
+                                          rtt_ms=None, catchment=None))
             else:
-                hops.append(
-                    TracerouteHop(ttl=ttl, addr=hop.addr, rtt_ms=hop.rtt_ms * jitter)
-                )
-        hops.append(
-            TracerouteHop(ttl=len(path.hops) + 1, addr=addr, rtt_ms=path.rtt_ms * jitter)
-        )
-        return TracerouteResult(
-            probe_id=probe.probe_id,
-            target=addr,
-            hops=tuple(hops),
-            reached=True,
-            path=path,
-        )
+                results.append(PingResult(
+                    probe_id=probe.probe_id,
+                    target=addr,
+                    rtt_ms=path.rtt_ms * (1.0 + jitter(probe.probe_id)),
+                    catchment=path.origin,
+                ))
+        return results
+
+    def trace_many(
+        self, probes: Iterable[Probe], addr: IPv4Address
+    ) -> list[TracerouteResult]:
+        """Traceroute one service address from each probe, in input order.
+
+        Equal to ``[self.traceroute(p, addr) for p in probes]``, with the
+        per-batch work of :meth:`ping_many` done once.
+        """
+        table = self.table_for(addr)
+        jitter = self._jitter_of(addr, None)
+        results = []
+        for probe in probes:
+            path = self._walk(table, probe) if table is not None else None
+            if path is None:
+                results.append(TracerouteResult(
+                    probe_id=probe.probe_id, target=addr, hops=(),
+                    reached=False, path=None,
+                ))
+                continue
+            scale = 1.0 + jitter(probe.probe_id)
+            hops: list[TracerouteHop] = []
+            for ttl, hop in enumerate(path.hops, start=1):
+                if self._hop_silent(hop.addr):
+                    hops.append(TracerouteHop(ttl=ttl, addr=None, rtt_ms=None))
+                else:
+                    hops.append(TracerouteHop(ttl=ttl, addr=hop.addr,
+                                              rtt_ms=hop.rtt_ms * scale))
+            hops.append(TracerouteHop(ttl=len(path.hops) + 1, addr=addr,
+                                      rtt_ms=path.rtt_ms * scale))
+            results.append(TracerouteResult(
+                probe_id=probe.probe_id,
+                target=addr,
+                hops=tuple(hops),
+                reached=True,
+                path=path,
+            ))
+        return results
 
     # ------------------------------------------------------------------
-    def _hash01(self, *parts: object) -> float:
-        digest = hashlib.sha256(
-            "|".join(str(p) for p in (self._seed, *parts)).encode()
-        ).digest()
-        return int.from_bytes(digest[:8], "big") / float(1 << 64)
+    def _jitter_of(self, addr: IPv4Address, salt: object) -> Callable[[int], float]:
+        """Per-probe multiplicative jitter in [-f, +f] toward one target.
 
-    def _jitter(self, probe_id: int, addr: IPv4Address, salt: object = None) -> float:
-        """Symmetric multiplicative jitter in [-f, +f], deterministic."""
-        u = self._hash01("jitter", probe_id, addr, salt)
-        return (2.0 * u - 1.0) * self._jitter_fraction
+        Deterministic: the sha256 of ``"{seed}|jitter|{probe_id}|{addr}|
+        {salt}"``, whose prefix and suffix are built once per target.
+        """
+        head = f"{self._seed!s}|jitter|"
+        tail = f"|{addr!s}|{salt!s}"
+        fraction = self._jitter_fraction
 
-    def _hop_silent(self, hop: Hop) -> bool:
-        """Whether a router interface never answers traceroute."""
-        digest = hashlib.sha256(
-            f"silent|{self._hop_silence_seed}|{hop.addr}".encode()
-        ).digest()
-        u = int.from_bytes(digest[:8], "big") / float(1 << 64)
-        return u < self._hop_silent_fraction
+        def jitter(probe_id: int) -> float:
+            digest = hashlib.sha256(f"{head}{probe_id!s}{tail}".encode()).digest()
+            u = int.from_bytes(digest[:8], "big") / float(1 << 64)
+            return (2.0 * u - 1.0) * fraction
+
+        return jitter
+
+    def _hop_silent(self, addr: IPv4Address) -> bool:
+        """Whether a router interface never answers traceroute (memoized)."""
+        silent = self._silent.get(addr)
+        if silent is None:
+            digest = hashlib.sha256(
+                f"silent|{self._hop_silence_seed}|{addr}".encode()
+            ).digest()
+            u = int.from_bytes(digest[:8], "big") / float(1 << 64)
+            silent = self._silent[addr] = u < self._hop_silent_fraction
+        return silent

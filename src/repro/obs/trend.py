@@ -380,7 +380,8 @@ def render_trend(
 ) -> str:
     """Per-label sparkline report over every tracked metric."""
     # Lazily imported: the obs core stays stdlib-only at import time,
-    # and repro.analysis pulls in numpy via its CDF machinery.
+    # and importing the repro.analysis package pulls in the measurement,
+    # routing and topology layers through its comparison modules.
     from repro.analysis.asciiplot import render_sparkline
 
     if not history:

@@ -112,7 +112,7 @@ def _ping_chunk(
     engine = _worker_engine()
     recorder = start_capture(record, chunk_index=chunk_index)
     try:
-        results = [engine.ping(p, addr, salt=salt) for p in _PROBES[lo:hi]]
+        results = engine.ping_many(_PROBES[lo:hi], addr, salt=salt)
     finally:
         payload = finish_capture(recorder)
     return results, payload
@@ -125,7 +125,7 @@ def _trace_chunk(
     engine = _worker_engine()
     recorder = start_capture(record, chunk_index=chunk_index)
     try:
-        results = [engine.traceroute(p, addr) for p in _PROBES[lo:hi]]
+        results = engine.trace_many(_PROBES[lo:hi], addr)
     finally:
         payload = finish_capture(recorder)
     return results, payload

@@ -10,58 +10,58 @@ isolates how much of the inefficiency BGP's preferences cause — the
 
 from __future__ import annotations
 
-from repro.routing.engine import RouteChoice, RoutingTable
-from repro.routing.route import Announcement, PrefTier, Route
+from repro.routing.flat import FlatRoutingTable
+from repro.routing.route import Announcement, PrefTier
 from repro.topology.graph import Topology
 
 
 def compute_shortest_path_table(
     topology: Topology, announcement: Announcement, max_equal_best: int = 16
-) -> RoutingTable:
-    """Hop-count BFS routing table (no preferences, no export rules)."""
-    prefix = announcement.prefix
-    best: dict[int, RouteChoice] = {}
+) -> FlatRoutingTable:
+    """Hop-count BFS routing table (no preferences, no export rules).
+
+    Origins hold the ORIGIN tier, every other routed node the CUSTOMER
+    tier; each node keeps one path per next hop, ordered by (next hop,
+    origin).
+    """
+    paths: dict[int, list[tuple[int, ...]]] = {}
     frontier: list[int] = []
     for spec in announcement.origins:
         if not topology.has_node(spec.site_node):
             raise ValueError(f"announcement origin {spec.site_node} not in topology")
-        best[spec.site_node] = RouteChoice(
-            routes=(
-                Route(prefix=prefix, origin=spec.site_node,
-                      path=(spec.site_node,), tier=PrefTier.ORIGIN),
-            )
-        )
+        paths[spec.site_node] = [(spec.site_node,)]
         frontier.append(spec.site_node)
+    origins = set(paths)
     while frontier:
-        candidates: dict[int, list[Route]] = {}
+        candidates: dict[int, list[tuple[int, ...]]] = {}
         for u in frontier:
-            route_u = best[u].primary
+            path_u = paths[u][0]
             spec = next(
                 (s for s in announcement.origins if s.site_node == u), None
             )
             for v in topology.neighbors_of(u):
-                if v in best:
+                if v in paths:
                     continue
                 if spec is not None and not spec.announces_to(v):
                     continue
-                if v in route_u.path:
+                if v in path_u:
                     continue
-                candidates.setdefault(v, []).append(
-                    Route(prefix=prefix, origin=route_u.origin,
-                          path=(v,) + route_u.path, tier=PrefTier.CUSTOMER)
-                )
+                candidates.setdefault(v, []).append((v,) + path_u)
         frontier = []
-        for v, routes in candidates.items():
-            unique: dict[int, Route] = {}
-            for r in sorted(routes, key=lambda r: (r.next_hop, r.origin)):
-                unique.setdefault(r.next_hop, r)
-            best[v] = RouteChoice(
-                routes=tuple(list(unique.values())[:max_equal_best])
-            )
+        for v, found in candidates.items():
+            unique: dict[int, tuple[int, ...]] = {}
+            for path in sorted(found, key=lambda p: (p[1], p[-1])):
+                unique.setdefault(path[1], path)
+            paths[v] = list(unique.values())[:max_equal_best]
             frontier.append(v)
-    return RoutingTable(
-        announcement=announcement,
-        best=best,
-        topology_version=topology.version,
-        _num_nodes=topology.num_nodes,
+    origin_tier = int(PrefTier.ORIGIN)
+    customer_tier = int(PrefTier.CUSTOMER)
+    return FlatRoutingTable.from_rows(
+        announcement,
+        topology.version,
+        topology.num_nodes,
+        (
+            (node, origin_tier if node in origins else customer_tier, node_paths)
+            for node, node_paths in paths.items()
+        ),
     )

@@ -15,13 +15,14 @@ stores the same information in five ``array`` columns:
   (``array('i')``, length ``routes + 1``);
 - ``path_nodes`` — all AS paths, flattened (``array('i')``).
 
-Lookups go through a sorted-id bisect index; ``Route``/``RouteChoice``
-objects materialize lazily (and are cached per row) only on inspection
-paths — forwarding, explain, catchment summaries.  The ``best`` mapping
-the rest of the codebase iterates is a read-only view whose iteration
-order is the packed row order, which is what keeps ``encode_table`` (and
-with it every serial-vs-parallel digest) byte-identical across serial,
-parallel and cached computes.
+Lookups go through a sorted-id bisect index (:meth:`FlatRoutingTable
+.row_of`).  Forwarding walks read the columns directly; ``Route``/
+``RouteChoice`` objects materialize lazily (and are cached per row) only
+on inspection paths — explain, invariants, catchment summaries.  The
+``best`` mapping the rest of the codebase iterates is a read-only view
+whose iteration order is the packed row order, which is what keeps
+``encode_table`` (and with it every serial-vs-parallel digest)
+byte-identical across serial, parallel and cached computes.
 
 Pickling ships the packed columns, so a worker process returns five
 array buffers instead of a dataclass tree — the shrunken merge payload
@@ -48,7 +49,7 @@ class _BestView(Mapping):
         self._table = table
 
     def __getitem__(self, node_id: int) -> RouteChoice:
-        row = self._table._row_of(node_id)
+        row = self._table.row_of(node_id)
         if row is None:
             raise KeyError(node_id)
         return self._table._choice_for_row(row)
@@ -62,7 +63,7 @@ class _BestView(Mapping):
     def __contains__(self, node_id: object) -> bool:
         return (
             isinstance(node_id, int)
-            and self._table._row_of(node_id) is not None
+            and self._table.row_of(node_id) is not None
         )
 
     def __eq__(self, other: object) -> bool:
@@ -153,8 +154,25 @@ class FlatRoutingTable(RoutingTable):
             path_nodes,
         )
 
-    # ------------------------------------------------------------------
-    def _row_of(self, node_id: int) -> int | None:
+    # -- packed columns, read-only ------------------------------------
+    @property
+    def tiers(self) -> array:
+        return self._tiers
+
+    @property
+    def choice_start(self) -> array:
+        return self._choice_start
+
+    @property
+    def path_start(self) -> array:
+        return self._path_start
+
+    @property
+    def path_nodes(self) -> array:
+        return self._path_nodes
+
+    def row_of(self, node_id: int) -> int | None:
+        """The packed row of a node, or None when it holds no route."""
         index = bisect_left(self._sorted_ids, node_id)
         if (
             index < len(self._sorted_ids)
@@ -190,7 +208,7 @@ class FlatRoutingTable(RoutingTable):
 
     # -- RoutingTable API over the columns ------------------------------
     def choice_at(self, node_id: int) -> RouteChoice | None:
-        row = self._row_of(node_id)
+        row = self.row_of(node_id)
         return self._choice_for_row(row) if row is not None else None
 
     def route_at(self, node_id: int) -> Route | None:
@@ -198,7 +216,7 @@ class FlatRoutingTable(RoutingTable):
         return choice.primary if choice is not None else None
 
     def catchment_of(self, node_id: int) -> int | None:
-        row = self._row_of(node_id)
+        row = self.row_of(node_id)
         if row is None:
             return None
         # Last node of the primary (first) path — no materialization.

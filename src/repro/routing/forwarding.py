@@ -8,6 +8,17 @@ the chosen adjacency at its nearest interconnect, and repeats at the next
 AS.  Path length strictly decreases at every step, so the walk always
 terminates at an origin site.
 
+A walk reads the routing table's packed columns directly (tier, route
+slices, flattened AS paths; the next hop of a route is the second node
+of its path) and stops at the ORIGIN tier.  Every piece of geometry a
+hop needs — the nearest interconnect of the link toward each candidate
+next hop, its rank and walk distances, the hop's interface address, and
+the destination site's distance — comes from the exit and destination
+memos on :class:`~repro.topology.flat.FlatAdjacency`, which live as long
+as one topology version.  Nothing is memoized per table or per walk, so
+memory stays proportional to the distinct geometry, not to the number
+of tables or probes.
+
 Latency follows the paper's calibration: 100 km of great-circle fiber path
 per 1 ms of RTT, plus per-interconnect extra latency (queueing/processing,
 sampled at build time) and the client's last-mile latency.
@@ -29,10 +40,13 @@ from repro.explain.provenance import ExitOption, ForwardingStep, ForwardingTrail
 from repro.geo.atlas import City
 from repro.geo.coords import FIBER_KM_PER_MS_RTT, GeoPoint
 from repro.netaddr.ipv4 import IPv4Address
-from repro.routing.engine import RoutingTable
-from repro.routing.route import PrefTier, Route
-from repro.topology.asys import Interconnect, Link
+from repro.routing.flat import FlatRoutingTable
+from repro.routing.route import PrefTier
+from repro.topology.flat import ExitHop, flat_adjacency
+from repro.topology.flat import site_city  # noqa: F401 - re-exported
 from repro.topology.graph import Topology
+
+_ORIGIN = int(PrefTier.ORIGIN)
 
 
 @dataclass(frozen=True)
@@ -73,64 +87,9 @@ class ForwardingPath:
         return len(self.node_path) - 1
 
 
-def nearest_interconnect(link: Link, point: GeoPoint) -> Interconnect:
-    """The link interconnect geographically nearest ``point``."""
-    return min(
-        link.interconnects,
-        key=lambda ic: (ic.city.location.distance_km(point), str(ic.addr_a)),
-    )
-
-
-def site_city(topology: Topology, node_id: int) -> City:
-    """The city of a (single-PoP) site node; first PoP for multi-PoP nodes."""
-    return topology.node(node_id).pops[0].city
-
-
-def _pick_exit(
-    topology: Topology, node: int, routes: tuple[Route, ...], point: GeoPoint
-) -> tuple[Route, Interconnect]:
-    """Hot-potato choice among equal-best routes at one node."""
-    best: tuple[float, int, Route, Interconnect] | None = None
-    for route in routes:
-        link = topology.link_between(node, route.next_hop)
-        ic = nearest_interconnect(link, point)
-        km = ic.city.location.distance_km(point)
-        key = (km, route.next_hop)
-        if best is None or key < (best[0], best[1]):
-            best = (km, route.next_hop, route, ic)
-    assert best is not None  # routes is non-empty by RouteChoice invariant
-    return best[2], best[3]
-
-
-def _exit_options(
-    topology: Topology,
-    node: int,
-    routes: tuple[Route, ...],
-    point: GeoPoint,
-    chosen: Route,
-) -> tuple[ExitOption, ...]:
-    """Provenance record of every equal-best exit considered at a node.
-
-    Recomputes the per-route interconnect distances :func:`_pick_exit`
-    compared — only called when capture is enabled, so the hot path never
-    pays for it.
-    """
-    options = []
-    for route in routes:
-        link = topology.link_between(node, route.next_hop)
-        ic = nearest_interconnect(link, point)
-        options.append(ExitOption(
-            next_hop=route.next_hop,
-            ic_city=ic.city.iata,
-            km=ic.city.location.distance_km(point),
-            chosen=route is chosen,
-        ))
-    return tuple(options)
-
-
 def trace_forwarding_path(
     topology: Topology,
-    table: RoutingTable,
+    table: FlatRoutingTable,
     start_node: int,
     start_point: GeoPoint,
     last_mile_ms: float = 0.0,
@@ -151,10 +110,17 @@ def trace_forwarding_path(
     """
     if last_mile_ms < 0:
         raise ValueError(f"last-mile latency must be non-negative: {last_mile_ms!r}")
-    if table.choice_at(start_node) is None:
+    row_of = table.row_of
+    row = row_of(start_node)
+    if row is None:
         obs.counter.inc("forwarding.unreachable")
         return None
     obs.counter.inc("forwarding.walks")
+    adjacency = flat_adjacency(topology)
+    tiers = table.tiers
+    choice_start = table.choice_start
+    path_start = table.path_start
+    path_nodes = table.path_nodes
     prov = provenance.active()
     steps: list[ForwardingStep] = []
     node = start_node
@@ -163,41 +129,58 @@ def trace_forwarding_path(
     extra_ms = last_mile_ms
     node_path = [start_node]
     hops: list[Hop] = []
-    while True:
-        choice = table.choice_at(node)
-        if choice is None:  # pragma: no cover - engine guarantees continuity
-            return None
-        if choice.tier is PrefTier.ORIGIN:
-            break
-        if primary_only:
-            route = choice.primary
-            ic = nearest_interconnect(
-                topology.link_between(node, route.next_hop), point
-            )
-        else:
-            route, ic = _pick_exit(topology, node, choice.routes, point)
+    while tiers[row] != _ORIGIN:
+        exits = adjacency.exits_at(point)
+        lo = choice_start[row]
+        hi = choice_start[row + 1]
+        # Hot potato: the equal-best exit whose nearest interconnect is
+        # closest, ties to the lower next hop; the first route wins
+        # exact ties.
+        best: ExitHop | None = None
+        best_km = 0.0
+        best_next = best_j = -1
+        for j in range(lo, lo + 1 if primary_only else hi):
+            next_hop = path_nodes[path_start[j] + 1]
+            hop = exits.get((node << 32) | next_hop)
+            if hop is None:
+                hop = adjacency.exit_hop(node, next_hop, point)
+            rank_km = hop.rank_km
+            if best is None or rank_km < best_km or (
+                rank_km == best_km and next_hop < best_next
+            ):
+                best, best_km, best_next, best_j = hop, rank_km, next_hop, j
+        assert best is not None  # every routed row holds at least one route
         if prov is not None:
-            steps.append(ForwardingStep(
-                node_id=node,
-                options=_exit_options(topology, node, choice.routes, point, route),
-            ))
-        link = topology.link_between(node, route.next_hop)
-        total_km += point.distance_km(ic.city.location)
-        point = ic.city.location
-        extra_ms += ic.extra_ms
-        node = route.next_hop
+            options = []
+            for j in range(lo, hi):
+                next_hop = path_nodes[path_start[j] + 1]
+                hop = adjacency.exit_hop(node, next_hop, point)
+                options.append(ExitOption(
+                    next_hop=next_hop,
+                    ic_city=hop.city.iata,
+                    km=hop.rank_km,
+                    chosen=j == best_j,
+                ))
+            steps.append(ForwardingStep(node_id=node, options=tuple(options)))
+        total_km += best.walk_km
+        point = best.city.location
+        extra_ms += best.extra_ms
+        node = best_next
         node_path.append(node)
         hops.append(
             Hop(
-                addr=link.addr_of(node, ic),
+                addr=best.addr,
                 node_id=node,
-                city=ic.city,
-                ixp_id=link.ixp_id,
+                city=best.city,
+                ixp_id=best.ixp_id,
                 rtt_ms=total_km / FIBER_KM_PER_MS_RTT + extra_ms,
             )
         )
-    dest = site_city(topology, node)
-    total_km += point.distance_km(dest.location)
+        row = row_of(node)
+        if row is None:  # pragma: no cover - engine guarantees continuity
+            return None
+    dest, dest_km = adjacency.dest(node, point)
+    total_km += dest_km
     rtt_ms = total_km / FIBER_KM_PER_MS_RTT + extra_ms
     obs.counter.inc("forwarding.hops", len(hops))
     if prov is not None:

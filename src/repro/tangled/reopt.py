@@ -135,10 +135,9 @@ class ReOpt:
             latencies: dict[int, dict[str, float]] = defaultdict(dict)
             for site_name in self._testbed.site_names:
                 addr = self._testbed.unicast_address(site_name)
-                for probe in self._probes:
-                    result = self._engine.ping(probe, addr)
+                for result in self._engine.ping_many(self._probes, addr):
                     if result.rtt_ms is not None:
-                        latencies[probe.probe_id][site_name] = result.rtt_ms
+                        latencies[result.probe_id][site_name] = result.rtt_ms
             self._unicast_cache = dict(latencies)
         return self._unicast_cache
 

@@ -19,19 +19,35 @@ The exit-kilometre metric (nearest PoP to nearest link interconnect —
 the hot-potato tie-break) is served from a per-adjacency memo backed by
 a module-level city-pair distance memo, filled lazily or all at once via
 :meth:`FlatAdjacency.precompute_km` before a fan-out forks workers.
+
+Forwarding walks read two more memos from the same object, so their
+geometry is computed once per topology version and dies with it:
+
+- :meth:`FlatAdjacency.exit_hop` — crossing the link ``node -> next``
+  from a point: the nearest interconnect (:func:`nearest_interconnect`),
+  its rank and walk distances, and the traceroute-visible hop fields;
+- :meth:`FlatAdjacency.dest` — a site node's city and its distance from
+  the point the walk arrives at.
+
+Both are filled by the same calls, in the same argument order, that a
+walk made before the memo existed (haversine is not assumed symmetric),
+so every float they hand out is bit-identical to a fresh computation.
 """
 
 from __future__ import annotations
 
 import weakref
 from array import array
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from repro.routing.route import PrefTier
 from repro.topology.asys import LinkKind
 
 if TYPE_CHECKING:
+    from repro.geo.atlas import City
     from repro.geo.coords import GeoPoint
+    from repro.netaddr.ipv4 import IPv4Address
+    from repro.topology.asys import Interconnect, Link
     from repro.topology.graph import Topology
 
 #: Great-circle km between two city locations, memoized per GeoPoint
@@ -47,6 +63,34 @@ def _pair_km(a: "GeoPoint", b: "GeoPoint") -> float:
         km = a.distance_km(b)
         _PAIR_KM[key] = km  # repro-lint: disable=fork-global-write -- idempotent content-derived memo
     return km
+
+
+def nearest_interconnect(link: "Link", point: "GeoPoint") -> "Interconnect":
+    """The link interconnect geographically nearest ``point``."""
+    return min(
+        link.interconnects,
+        key=lambda ic: (ic.city.location.distance_km(point), str(ic.addr_a)),
+    )
+
+
+def site_city(topology: "Topology", node_id: int) -> "City":
+    """The city of a (single-PoP) site node; first PoP for multi-PoP nodes."""
+    return topology.node(node_id).pops[0].city
+
+
+class ExitHop(NamedTuple):
+    """Crossing the link ``node -> next_hop`` from one point."""
+
+    #: ``ic.city.location.distance_km(point)``: the hot-potato rank.
+    rank_km: float
+    #: ``point.distance_km(ic.city.location)``: the km the walk adds.
+    walk_km: float
+    #: The interconnect's city (the next point of the walk).
+    city: "City"
+    extra_ms: float
+    #: ``next_hop``'s interface at the interconnect (the traceroute hop).
+    addr: "IPv4Address"
+    ixp_id: int | None
 
 
 class FlatAdjacency:
@@ -65,6 +109,8 @@ class FlatAdjacency:
         "_peer_ids",
         "_peer_tiers",
         "_km",
+        "_exits",
+        "_dests",
         "_topology_ref",
         "__weakref__",
     )
@@ -108,6 +154,10 @@ class FlatAdjacency:
         #: ``(node << 32) | neighbor`` -> exit km; filled lazily (or all
         #: at once by :meth:`precompute_km`).
         self._km: dict[int, float] = {}
+        #: point -> ``(node << 32) | next_hop`` -> ExitHop, filled lazily.
+        self._exits: dict["GeoPoint", dict[int, ExitHop]] = {}
+        #: ``(site node, point)`` -> (site city, km from point to it).
+        self._dests: dict[tuple[int, "GeoPoint"], tuple["City", float]] = {}
 
     # ------------------------------------------------------------------
     def providers(self, node_id: int) -> array:
@@ -136,13 +186,7 @@ class FlatAdjacency:
         key = (node_id << 32) | neighbor_id
         km = self._km.get(key)
         if km is None:
-            topology = self._topology_ref()
-            if topology is None:
-                raise RuntimeError(
-                    "FlatAdjacency outlived its topology; exit-km lookups "
-                    "need the source graph (call precompute_km before "
-                    "dropping it)"
-                )
+            topology = self._topology()
             link = topology.link_between(node_id, neighbor_id)
             pops = topology.node(node_id).pops
             km = min(
@@ -153,6 +197,52 @@ class FlatAdjacency:
             km = round(km, 3)
             self._km[key] = km
         return km
+
+    def _topology(self) -> "Topology":
+        topology = self._topology_ref()
+        if topology is None:
+            raise RuntimeError(
+                "FlatAdjacency outlived its topology; a memo miss needs "
+                "the source graph"
+            )
+        return topology
+
+    def exits_at(self, point: "GeoPoint") -> dict[int, ExitHop]:
+        """The exit memo of one point, keyed ``(node << 32) | next_hop``.
+
+        Walks read it directly and fall back to :meth:`exit_hop` on a miss.
+        """
+        exits = self._exits.get(point)
+        if exits is None:
+            exits = self._exits[point] = {}
+        return exits
+
+    def exit_hop(self, node_id: int, next_hop: int, point: "GeoPoint") -> ExitHop:
+        """The hop crossing ``node_id -> next_hop`` from ``point`` (memoized)."""
+        exits = self.exits_at(point)
+        key = (node_id << 32) | next_hop
+        hop = exits.get(key)
+        if hop is None:
+            link = self._topology().link_between(node_id, next_hop)
+            ic = nearest_interconnect(link, point)
+            hop = exits[key] = ExitHop(
+                rank_km=ic.city.location.distance_km(point),
+                walk_km=point.distance_km(ic.city.location),
+                city=ic.city,
+                extra_ms=ic.extra_ms,
+                addr=link.addr_of(next_hop, ic),
+                ixp_id=link.ixp_id,
+            )
+        return hop
+
+    def dest(self, node_id: int, point: "GeoPoint") -> tuple["City", float]:
+        """A site node's city and the km from ``point`` to it (memoized)."""
+        key = (node_id, point)
+        dest = self._dests.get(key)
+        if dest is None:
+            city = site_city(self._topology(), node_id)
+            dest = self._dests[key] = (city, point.distance_km(city.location))
+        return dest
 
     def precompute_km(self) -> int:
         """Fill the exit-km memo for every directed link end.

@@ -32,6 +32,7 @@ from repro.lint.findings import RULES
 from repro.measurement.engine import ServiceRegistry
 from repro.netaddr.ipv4 import IPv4Address, IPv4Prefix
 from repro.routing.engine import RouteChoice, RoutingEngine, RoutingTable
+from repro.routing.flat import FlatRoutingTable
 from repro.routing.route import Announcement, OriginSpec, PrefTier, Route
 from repro.topology.asys import (
     AutonomousSystem,
@@ -790,11 +791,17 @@ class TestInvariantViolations:
             net.node(nid)
         net.transit(1, 2)
         net.transit(3, 2)
-        t = table(net.topo, {
-            1: [route((1,), PrefTier.ORIGIN)],
-            2: [route((2, 1), PrefTier.CUSTOMER)],
-            # node 3 deliberately has no route
-        })
+        # Forwarding walks packed tables, so this one is built flat.
+        t = FlatRoutingTable.from_rows(
+            Announcement(prefix=PREFIX, origins=(OriginSpec(site_node=1),)),
+            net.topo.version,
+            net.topo.num_nodes,
+            [
+                (1, int(PrefTier.ORIGIN), [(1,)]),
+                (2, int(PrefTier.CUSTOMER), [(2, 1)]),
+                # node 3 deliberately has no route
+            ],
+        )
         findings = check_catchments(net.topo, t)
         assert any(
             f.check == "catchment" and "node 3" in f.subject for f in findings

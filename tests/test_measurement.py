@@ -1,12 +1,17 @@
 """Tests for probes, the measurement engine, and probe grouping."""
 
+import hashlib
+
 import pytest
 
 from repro.anycast.network import AnycastNetwork
+from repro.experiments.config import SMALL
+from repro.experiments.world import World
 from repro.geo.areas import Area
 from repro.measurement.engine import MeasurementEngine, ServiceRegistry
 from repro.measurement.grouping import ProbeGroup, group_probes
 from repro.measurement.probes import Probe, ProbeParams, ProbePopulation
+from repro.netaddr.ipv4 import IPv4Address
 
 
 @pytest.fixture(scope="module")
@@ -115,8 +120,6 @@ class TestMeasurementEngine:
         assert abs(base.rtt_ms - salted.rtt_ms) / base.rtt_ms < 0.09
 
     def test_ping_unknown_address_unreachable(self, engine_setup, probes):
-        from repro.netaddr.ipv4 import IPv4Address
-
         engine, _, _ = engine_setup
         p = probes.usable_probes()[0]
         result = engine.ping(p, IPv4Address.parse("203.0.113.1"))
@@ -156,6 +159,67 @@ class TestMeasurementEngine:
             # RTT can never beat the fiber bound to the nearest site
             # (minus jitter tolerance).
             assert result.rtt_ms >= (best_km / 100.0) * 0.9
+
+
+class TestBatchApi:
+    def test_ping_many_keeps_input_order(self, engine_setup, probes):
+        engine, addr, _ = engine_setup
+        batch = probes.usable_probes()[:40][::-1]
+        results = engine.ping_many(batch, addr, salt="s")
+        assert [r.probe_id for r in results] == [p.probe_id for p in batch]
+        assert results == [engine.ping(p, addr, salt="s") for p in batch]
+
+    def test_ping_many_jitter_is_the_documented_hash(self, engine_setup, probes):
+        engine, addr, _ = engine_setup
+        batch = probes.usable_probes()[:40]
+        for salt in (None, "other-hostname"):
+            for probe, result in zip(batch, engine.ping_many(batch, addr, salt)):
+                # engine_setup measures with campaign seed 4, jitter 4%.
+                key = f"4|jitter|{probe.probe_id}|{addr}|{salt}".encode()
+                digest = hashlib.sha256(key).digest()
+                u = int.from_bytes(digest[:8], "big") / float(1 << 64)
+                path = engine.traceroute(probe, addr).path
+                assert result.rtt_ms == path.rtt_ms * (1.0 + (2.0 * u - 1.0) * 0.04)
+                assert result.catchment == path.origin
+
+    def test_trace_many_keeps_input_order(self, engine_setup, probes):
+        engine, addr, _ = engine_setup
+        batch = probes.usable_probes()[:40][::-1]
+        results = engine.trace_many(batch, addr)
+        assert [r.probe_id for r in results] == [p.probe_id for p in batch]
+        assert results == [engine.traceroute(p, addr) for p in batch]
+        pings = engine.ping_many(batch, addr)
+        for trace, ping in zip(results, pings):
+            assert trace.hops[-1].rtt_ms == ping.rtt_ms
+
+    def test_unknown_address_is_unreachable_for_the_whole_batch(
+        self, engine_setup, probes
+    ):
+        engine, _, _ = engine_setup
+        batch = probes.usable_probes()[:10]
+        addr = IPv4Address.parse("203.0.113.1")
+        assert [r.reachable for r in engine.ping_many(batch, addr)] == [False] * 10
+        assert [r.reached for r in engine.trace_many(batch, addr)] == [False] * 10
+        assert engine.ping_many([], addr) == []
+
+
+class TestOutputsPinned:
+    def test_ping_and_trace_digest(self):
+        """Every SMALL ping and traceroute, hashed; any change to the
+        forwarding walk, the jitter or the silent-hop draw shows here."""
+        world = World(SMALL)  # fresh: other tests mutate the shared world
+        lines = []
+        for announcement in world.registry.announcements():
+            addr = announcement.prefix.address(1)
+            for pid, r in sorted(world.ping_all(addr).items()):
+                lines.append(f"P {addr} {pid} {r.rtt_ms!r} {r.catchment!r}")
+            for pid, r in sorted(world.trace_all(addr).items()):
+                hops = ",".join(f"{h.ttl}:{h.addr}:{h.rtt_ms!r}" for h in r.hops)
+                lines.append(f"T {addr} {pid} {r.reached} {hops}")
+        assert len(lines) == 41_850
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "cc9d31bd9500c8e3600937494e58cab56bc9ddc87fd5c611a233e46217a298c6"
+        )
 
 
 class TestGrouping:
