@@ -82,6 +82,26 @@ def test_bench_trace_batch(benchmark, world):
     assert all(r.reached for r in results)
 
 
+def test_bench_salted_ping_all(benchmark, world):
+    """Table 6's pattern: one address pinged under 13 salts (the
+    representative hostname and 12 others), from an empty ping cache."""
+    addr = world.imperva.im6.address_of_region("EMEA")
+    salts = [None] + [f"www.stamps.com-extra-{i:02d}" for i in range(12)]
+
+    def forget() -> None:
+        for salt in salts:
+            world._ping_cache.pop((addr, salt), None)
+        world._reach_cache.pop(addr, None)
+
+    def ping_under_every_salt():
+        return [world.ping_all(addr, salt) for salt in salts]
+
+    campaigns = benchmark.pedantic(ping_under_every_salt, setup=forget,
+                                   rounds=5, iterations=1)
+    assert len(campaigns) == len(salts)
+    assert all(len(c) == len(world.usable_probes) for c in campaigns)
+
+
 def test_bench_sitemap_pipeline(benchmark, world):
     """The Appendix-B geolocation cascade over one prefix's traces."""
     addr = world.imperva.ns.address

@@ -57,6 +57,13 @@ class LongitudinalResult:
 
 
 def run(world: World, campaigns: int = DEFAULT_CAMPAIGNS) -> LongitudinalResult:
+    """Enumerate the Edgio-3 and Imperva-6 partitions once per campaign.
+
+    Routing is fixed over the campaigns, so every campaign observes the
+    forwarding paths of the world's own traceroutes
+    (:meth:`World.trace_all`) under its seed's jitter; no campaign
+    computes a routing table or walks a path.
+    """
     result = LongitudinalResult(experiment_id="longitudinal",
                                 campaigns=campaigns)
     deployments = {
@@ -81,9 +88,11 @@ def run(world: World, campaigns: int = DEFAULT_CAMPAIGNS) -> LongitudinalResult:
             )
             for region in deployment.region_names:
                 addr = deployment.address_of_region(region)
+                walked = world.trace_all(addr)
+                paths = [walked[p.probe_id].path for p in world.usable_probes]
                 traces = {
                     r.probe_id: r
-                    for r in engine.trace_many(world.usable_probes, addr)
+                    for r in engine.traces_from(paths, world.usable_probes, addr)
                 }
                 mapping = mapper.map_traces(traces, world.probe_by_id)
                 result.observations[name][region].append(

@@ -13,7 +13,10 @@ Internet:
 
 Measurements (pings, traceroutes, DNS resolutions, site mappings) are
 cached per target address so the fifteen experiments share work instead
-of re-measuring.
+of re-measuring.  Each address is walked at most once per topology
+version for its pings: every salt observes the same :class:`~repro
+.measurement.engine.Reach`, and a traced address derives it from its
+traceroutes' paths.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from repro.geoloc.rdns import ReverseDNS
 from repro.measurement.engine import (
     MeasurementEngine,
     PingResult,
+    Reach,
     ServiceRegistry,
     TracerouteResult,
 )
@@ -135,8 +139,12 @@ class World:
             obs.gauge.set("world.probe_groups", len(self.groups))
         self._ping_cache: dict[tuple[IPv4Address, object], dict[int, PingResult]] = {}
         self._trace_cache: dict[IPv4Address, dict[int, TracerouteResult]] = {}
+        #: Each address's walk from the usable probes, shared by all salts.
+        self._reach_cache: dict[IPv4Address, Reach] = {}
         self._resolve_cache: dict[tuple[str, DnsMode], dict[int, IPv4Address]] = {}
         self._sitemap_cache: dict[tuple[IPv4Address, tuple[str, ...]], SiteMappingResult] = {}
+        #: Topology version the path-dependent caches above were filled at.
+        self._cache_version = self.topology.version
         self._fleet_pool: FleetPool | None = None
         self._fleet_checked = False
         self._fleet_snapshot: tuple[int, int] | None = None
@@ -203,29 +211,54 @@ class World:
     # ------------------------------------------------------------------
     # Cached measurement primitives
     # ------------------------------------------------------------------
+    def _drop_stale_caches(self) -> None:
+        """Drop every path-dependent cache once the topology has changed.
+
+        Pings, traceroutes, walks and site mappings all follow from
+        forwarding paths; DNS answers do not, so ``_resolve_cache``
+        stays.
+        """
+        if self._cache_version != self.topology.version:
+            self._ping_cache.clear()
+            self._trace_cache.clear()
+            self._reach_cache.clear()
+            self._sitemap_cache.clear()
+            self._cache_version = self.topology.version
+
     def ping_all(
         self, addr: IPv4Address, salt: object = None
     ) -> dict[int, PingResult]:
-        """Ping ``addr`` from every usable probe (cached)."""
+        """Ping ``addr`` from every usable probe (cached).
+
+        The address is walked once (or not at all, after
+        :meth:`trace_all`); every ``salt`` is an observation of that
+        walk under the world engine's seed.
+        """
+        self._drop_stale_caches()
         key = (addr, salt)
         cached = self._ping_cache.get(key)
         if cached is None:
-            fleet = self._fleet()
+            reach = self._reach_cache.get(addr)
+            fleet = self._fleet() if reach is None else None
             with obs.span("world.ping_all", addr=str(addr)):
-                if fleet is not None:
-                    cached = fleet.ping_all(addr, salt=salt)
-                else:
-                    cached = {
-                        r.probe_id: r
-                        for r in self.engine.ping_many(
-                            self.usable_probes, addr, salt=salt)
-                    }
+                if reach is None:
+                    reach = (
+                        fleet.reach_all(addr) if fleet is not None
+                        else self.engine.reach_many(self.usable_probes, addr)
+                    )
+                    self._reach_cache[addr] = reach
+                cached = {
+                    r.probe_id: r
+                    for r in self.engine.pings_from(
+                        reach, self.usable_probes, addr, salt=salt)
+                }
                 obs.counter.inc("measurement.pings", len(cached))
             self._ping_cache[key] = cached
         return cached
 
     def trace_all(self, addr: IPv4Address) -> dict[int, TracerouteResult]:
         """Traceroute to ``addr`` from every usable probe (cached)."""
+        self._drop_stale_caches()
         cached = self._trace_cache.get(addr)
         if cached is None:
             fleet = self._fleet()
@@ -239,6 +272,10 @@ class World:
                     }
                 obs.counter.inc("measurement.traceroutes", len(cached))
             self._trace_cache[addr] = cached
+            if addr not in self._reach_cache:
+                self._reach_cache[addr] = Reach.from_paths(
+                    cached[p.probe_id].path for p in self.usable_probes
+                )
         return cached
 
     def resolve_all(
@@ -309,6 +346,7 @@ class World:
         self, addr: IPv4Address, published: list[City]
     ) -> SiteMappingResult:
         """Run the p-hop pipeline over all traces to one address (cached)."""
+        self._drop_stale_caches()
         key = (addr, tuple(sorted(c.iata for c in published)))
         cached = self._sitemap_cache.get(key)
         if cached is None:

@@ -18,13 +18,25 @@ The engine binds together the routing layer and the probe population:
   registry lookup, the table fetch and the jitter-key setup once per
   batch.  Every campaign loop goes through them; ``ping`` and
   ``traceroute`` are one-probe batches.
+
+A measurement is a *walk* and an *observation*.  The walk (the
+forwarding path) depends only on topology, routing table and probe; the
+observation (jitter, silent hops) adds the campaign seed and the salt.
+:meth:`~MeasurementEngine.reach_many` walks a batch once and keeps what
+a ping needs as a packed :class:`Reach`; :meth:`~MeasurementEngine
+.pings_from` and :meth:`~MeasurementEngine.traces_from` observe a walk
+under this engine's seed.  ``ping_many`` and ``trace_many`` are the two
+composed, so callers that re-measure an address under another salt or
+seed (``World.ping_all``, the longitudinal campaigns) observe the walk
+they already have instead of walking again.
 """
 
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.measurement.probes import Probe
 from repro.netaddr.ipv4 import IPv4Address
@@ -84,6 +96,36 @@ class TracerouteResult:
             return None
         hop = self.hops[-2]
         return hop if hop.addr is not None else None
+
+
+@dataclass(frozen=True)
+class Reach:
+    """Salt- and seed-free outcome of walking one address from a batch of
+    probes, in the batch's order: everything a ping needs, 12 B a probe.
+    """
+
+    #: Base RTT of each probe's path (``ForwardingPath.rtt_ms``); 0.0
+    #: where the probe has no route.
+    rtt_ms: array[float]
+    #: Catchment (origin site node) of each probe's path; -1 where the
+    #: probe has no route.
+    catchment: array[int]
+
+    @classmethod
+    def from_paths(cls, paths: Iterable[ForwardingPath | None]) -> Reach:
+        rtt_ms = array("d")
+        catchment = array("i")
+        for path in paths:
+            if path is None:
+                rtt_ms.append(0.0)
+                catchment.append(-1)
+            else:
+                rtt_ms.append(path.rtt_ms)
+                catchment.append(path.origin)
+        return cls(rtt_ms, catchment)
+
+    def __len__(self) -> int:
+        return len(self.catchment)
 
 
 class ServiceRegistry:
@@ -213,6 +255,10 @@ class MeasurementEngine:
         """One traceroute from a probe to a service address."""
         return self.trace_many((probe,), addr)[0]
 
+    def reach_many(self, probes: Iterable[Probe], addr: IPv4Address) -> Reach:
+        """Walk one service address from each probe, packed for pings."""
+        return Reach.from_paths(self._walk_many(probes, addr))
+
     def ping_many(
         self, probes: Iterable[Probe], addr: IPv4Address, salt: object = None
     ) -> list[PingResult]:
@@ -222,22 +268,8 @@ class MeasurementEngine:
         registry lookup, the table fetch and the jitter-key prefix are
         done once per batch.
         """
-        table = self.table_for(addr)
-        jitter = self._jitter_of(addr, salt)
-        results = []
-        for probe in probes:
-            path = self._walk(table, probe) if table is not None else None
-            if path is None:
-                results.append(PingResult(probe_id=probe.probe_id, target=addr,
-                                          rtt_ms=None, catchment=None))
-            else:
-                results.append(PingResult(
-                    probe_id=probe.probe_id,
-                    target=addr,
-                    rtt_ms=path.rtt_ms * (1.0 + jitter(probe.probe_id)),
-                    catchment=path.origin,
-                ))
-        return results
+        batch = tuple(probes)
+        return self.pings_from(self.reach_many(batch, addr), batch, addr, salt)
 
     def trace_many(
         self, probes: Iterable[Probe], addr: IPv4Address
@@ -247,11 +279,60 @@ class MeasurementEngine:
         Equal to ``[self.traceroute(p, addr) for p in probes]``, with the
         per-batch work of :meth:`ping_many` done once.
         """
+        batch = tuple(probes)
+        return self.traces_from(list(self._walk_many(batch, addr)), batch, addr)
+
+    def _walk_many(
+        self, probes: Iterable[Probe], addr: IPv4Address
+    ) -> Iterator[ForwardingPath | None]:
+        """Each probe's forwarding path to ``addr``: the one walk loop."""
         table = self.table_for(addr)
+        for probe in probes:
+            yield self._walk(table, probe) if table is not None else None
+
+    def pings_from(
+        self, reach: Reach, probes: Sequence[Probe], addr: IPv4Address,
+        salt: object = None,
+    ) -> list[PingResult]:
+        """Observe a walk as pings under this engine's seed and ``salt``.
+
+        ``reach`` must come from walking ``addr`` from ``probes``, in
+        that order (:meth:`reach_many`, or :meth:`Reach.from_paths`
+        over a traceroute batch's paths).
+        """
+        if len(reach) != len(probes):
+            raise ValueError(
+                f"reach of {len(reach)} probes for a batch of {len(probes)}")
+        jitter = self._jitter_of(addr, salt)
+        results = []
+        for probe, rtt_ms, catchment in zip(probes, reach.rtt_ms, reach.catchment):
+            if catchment < 0:
+                results.append(PingResult(probe_id=probe.probe_id, target=addr,
+                                          rtt_ms=None, catchment=None))
+            else:
+                results.append(PingResult(
+                    probe_id=probe.probe_id,
+                    target=addr,
+                    rtt_ms=rtt_ms * (1.0 + jitter(probe.probe_id)),
+                    catchment=catchment,
+                ))
+        return results
+
+    def traces_from(
+        self, paths: Sequence[ForwardingPath | None], probes: Sequence[Probe],
+        addr: IPv4Address,
+    ) -> list[TracerouteResult]:
+        """Observe walked paths as traceroutes under this engine's seed.
+
+        ``paths`` are the forwarding paths from ``probes`` to ``addr``,
+        in that order, None where a probe has no route.
+        """
+        if len(paths) != len(probes):
+            raise ValueError(
+                f"{len(paths)} paths for a batch of {len(probes)} probes")
         jitter = self._jitter_of(addr, None)
         results = []
-        for probe in probes:
-            path = self._walk(table, probe) if table is not None else None
+        for probe, path in zip(probes, paths):
             if path is None:
                 results.append(TracerouteResult(
                     probe_id=probe.probe_id, target=addr, hops=(),

@@ -13,6 +13,9 @@ the resolver pool, the geo-mapping services) is shipped exactly once per
 worker through the pool initializer; per-task payloads are just
 ``(lo, hi, target)`` index ranges.  Chunk results are concatenated in
 probe order, so the returned dicts are equal to the serial loops'.
+Pings come back as a walk only (:meth:`FleetPool.reach_all`, packed
+arrays); the parent observes them under each salt, so jitter is
+computed in one place.
 
 Determinism caveat handled here: resolver profiles and routing tables
 must be assigned *before* the pool forks, otherwise each worker would
@@ -26,6 +29,7 @@ runs exactly.
 
 from __future__ import annotations
 
+from array import array
 from concurrent.futures import Executor, ProcessPoolExecutor
 from itertools import count
 from typing import Any, Callable
@@ -35,7 +39,7 @@ from repro.dnssim.resolver import DnsMode, ResolverPool
 from repro.dnssim.service import GeoMappingService
 from repro.measurement.engine import (
     MeasurementEngine,
-    PingResult,
+    Reach,
     TracerouteResult,
 )
 from repro.measurement.probes import Probe
@@ -105,17 +109,17 @@ def _worker_engine() -> MeasurementEngine:
     return _ENGINE
 
 
-def _ping_chunk(
-    task: tuple[int, int, IPv4Address, object, bool, int],
-) -> tuple[list[PingResult], WorkerPayload | None]:
-    lo, hi, addr, salt, record, chunk_index = task
+def _reach_chunk(
+    task: tuple[int, int, IPv4Address, bool, int],
+) -> tuple[tuple[array[float], array[int]], WorkerPayload | None]:
+    lo, hi, addr, record, chunk_index = task
     engine = _worker_engine()
     recorder = start_capture(record, chunk_index=chunk_index)
     try:
-        results = engine.ping_many(_PROBES[lo:hi], addr, salt=salt)
+        reach = engine.reach_many(_PROBES[lo:hi], addr)
     finally:
         payload = finish_capture(recorder)
-    return results, payload
+    return (reach.rtt_ms, reach.catchment), payload
 
 
 def _trace_chunk(
@@ -195,19 +199,29 @@ class FleetPool:
             raise
 
     # ------------------------------------------------------------------
+    def _gather(
+        self,
+        fn: Callable[[Any], tuple[Any, WorkerPayload | None]],
+        tasks: list[Any],
+    ) -> list[Any]:
+        """Ordered fan-out: run chunk tasks, merge obs, chunk results in
+        task order."""
+        with obs.span("par.dispatch", tasks=len(tasks), workers=self._workers):
+            outcomes = list(self._executor.map(fn, tasks))
+        chunks: list[Any] = []
+        with obs.span("par.merge", payloads=len(outcomes)):
+            for chunk_result, payload in outcomes:
+                merge_payload(payload)
+                chunks.append(chunk_result)
+        return chunks
+
     def _run(
         self,
         fn: Callable[[Any], tuple[list[Any], WorkerPayload | None]],
         tasks: list[Any],
     ) -> dict[int, Any]:
-        """Ordered fan-out: run chunk tasks, merge obs, key by probe id."""
-        with obs.span("par.dispatch", tasks=len(tasks), workers=self._workers):
-            outcomes = list(self._executor.map(fn, tasks))
-        flat: list[Any] = []
-        with obs.span("par.merge", payloads=len(outcomes)):
-            for chunk_results, payload in outcomes:
-                merge_payload(payload)
-                flat.extend(chunk_results)
+        """:meth:`_gather` with per-probe chunk results, keyed by probe id."""
+        flat = [result for chunk in self._gather(fn, tasks) for result in chunk]
         return {
             probe.probe_id: result
             for probe, result in zip(self._probes, flat)
@@ -217,15 +231,20 @@ class FleetPool:
         return chunk_ranges(len(self._probes), self._num_chunks)
 
     # ------------------------------------------------------------------
-    def ping_all(
-        self, addr: IPv4Address, salt: object = None
-    ) -> dict[int, PingResult]:
+    def reach_all(self, addr: IPv4Address) -> Reach:
+        """Every probe's walk to ``addr``: the chunks' packed columns,
+        concatenated in probe order (pings are observed from it in the
+        parent, :meth:`MeasurementEngine.pings_from`)."""
         record = obs.active() is not None
         tasks = [
-            (lo, hi, addr, salt, record, index)
+            (lo, hi, addr, record, index)
             for index, (lo, hi) in enumerate(self._ranges())
         ]
-        return self._run(_ping_chunk, tasks)
+        reach = Reach(array("d"), array("i"))
+        for rtt_ms, catchment in self._gather(_reach_chunk, tasks):
+            reach.rtt_ms.extend(rtt_ms)
+            reach.catchment.extend(catchment)
+        return reach
 
     def trace_all(self, addr: IPv4Address) -> dict[int, TracerouteResult]:
         record = obs.active() is not None

@@ -4,14 +4,16 @@ import hashlib
 
 import pytest
 
+from repro import obs
 from repro.anycast.network import AnycastNetwork
 from repro.experiments.config import SMALL
 from repro.experiments.world import World
 from repro.geo.areas import Area
-from repro.measurement.engine import MeasurementEngine, ServiceRegistry
+from repro.measurement.engine import MeasurementEngine, Reach, ServiceRegistry
 from repro.measurement.grouping import ProbeGroup, group_probes
 from repro.measurement.probes import Probe, ProbeParams, ProbePopulation
 from repro.netaddr.ipv4 import IPv4Address
+from repro.topology.asys import Interconnect, Link, LinkKind
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +203,91 @@ class TestBatchApi:
         assert [r.reachable for r in engine.ping_many(batch, addr)] == [False] * 10
         assert [r.reached for r in engine.trace_many(batch, addr)] == [False] * 10
         assert engine.ping_many([], addr) == []
+
+
+def walks_during(action):
+    """(result of ``action()``, forwarding walks it made)."""
+    with obs.recording("walks") as rec:
+        result = action()
+    return result, rec.root.subtree_counters().get("forwarding.walks", 0.0)
+
+
+class TestWalkOnceObserveMany:
+    @pytest.fixture(scope="class")
+    def world(self):
+        return World(SMALL)  # fresh: walk counts start from empty caches
+
+    def test_reach_packs_the_walk(self, engine_setup, probes):
+        engine, addr, _ = engine_setup
+        batch = probes.usable_probes()[:40]
+        reach = engine.reach_many(batch, addr)
+        paths = [r.path for r in engine.trace_many(batch, addr)]
+        assert reach == Reach.from_paths(paths)
+        assert list(reach.rtt_ms) == [p.rtt_ms for p in paths]
+        assert list(reach.catchment) == [p.origin for p in paths]
+        unreachable = engine.reach_many(batch, IPv4Address.parse("203.0.113.1"))
+        assert list(unreachable.catchment) == [-1] * 40
+        with pytest.raises(ValueError):
+            engine.pings_from(reach, batch[:-1], addr)
+
+    def test_every_salt_observes_one_walk(self, world):
+        addr = world.imperva.im6.address_of_region("EMEA")
+        probes = world.usable_probes
+        for index, salt in enumerate((None, "s-01", "s-02", 3)):
+            pings, walked = walks_during(lambda: world.ping_all(addr, salt))
+            assert list(pings.values()) == world.engine.ping_many(probes, addr, salt)
+            assert walked == (len(probes) if index == 0 else 0)
+
+    def test_ping_after_trace_walks_nothing(self, world):
+        addr = world.edgio.eg3.address_of_region(world.edgio.eg3.region_names[0])
+        world.trace_all(addr)
+        pings, walked = walks_during(lambda: world.ping_all(addr))
+        assert walked == 0
+        assert list(pings.values()) == world.engine.ping_many(world.usable_probes, addr)
+
+    @pytest.mark.parametrize("seed", [1001, 1002])
+    def test_campaign_seed_observes_the_world_paths(self, world, seed):
+        addr = world.imperva.im6.address_of_region("APAC")
+        probes = world.usable_probes
+        traces = world.trace_all(addr)
+        paths = [traces[p.probe_id].path for p in probes]
+        walked_engine = MeasurementEngine(world.topology, world.registry, seed=seed)
+        observer = MeasurementEngine(world.topology, world.registry, seed=seed)
+        observed, walked = walks_during(
+            lambda: observer.traces_from(paths, probes, addr))
+        assert walked == 0
+        assert walked_engine.trace_many(probes, addr) == observed
+
+
+class TestWorldCachesFollowTopology:
+    def test_ping_all_after_a_new_link(self):
+        world = World(SMALL)  # fresh: the topology is mutated below
+        addr = world.imperva.ns.address
+        before = world.ping_all(addr)
+        world.trace_all(addr)
+        probe = world.usable_probes[0]
+        announcement = world.registry.lookup(addr)
+        site = next(
+            o.site_node for o in announcement.origins
+            if o.neighbors is None
+            and o.site_node != before[probe.probe_id].catchment
+        )
+        # The probe's AS becomes a provider of another site, so its
+        # customer route there beats whatever it used before.
+        world.topology.add_link(Link(
+            a=site, b=probe.as_node, kind=LinkKind.TRANSIT,
+            interconnects=(Interconnect(
+                city=world.topology.node(site).pops[0].city,
+                addr_a=IPv4Address.parse("192.0.2.1"),
+                addr_b=IPv4Address.parse("192.0.2.2"),
+            ),),
+        ))
+        fresh = world.engine.ping_many(world.usable_probes, addr)
+        assert fresh != list(before.values())
+        assert {r.probe_id: r.catchment for r in fresh}[probe.probe_id] == site
+        assert list(world.ping_all(addr).values()) == fresh
+        assert list(world.trace_all(addr).values()) == world.engine.trace_many(
+            world.usable_probes, addr)
 
 
 class TestOutputsPinned:

@@ -687,11 +687,14 @@ class TestParallelEquality:
         )
         try:
             addr = world.imperva.ns.address
-            serial_pings = {
-                p.probe_id: world.engine.ping(p, addr)
-                for p in world.usable_probes
-            }
-            assert pool.ping_all(addr) == serial_pings
+            reach = pool.reach_all(addr)
+            assert reach == world.engine.reach_many(world.usable_probes, addr)
+            for salt in (None, "www.other-hostname.com"):
+                serial_pings = [
+                    world.engine.ping(p, addr, salt) for p in world.usable_probes
+                ]
+                assert world.engine.pings_from(
+                    reach, world.usable_probes, addr, salt) == serial_pings
             serial_traces = {
                 p.probe_id: world.engine.traceroute(p, addr)
                 for p in world.usable_probes
