@@ -26,7 +26,10 @@ def percentile(values: list[float], p: float) -> float:
     if lo == hi:
         return ordered[lo]
     frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+    # Interpolate as lo + (hi - lo) * frac: equal neighbours return their
+    # value exactly, so subnormal products cannot round the result across
+    # an adjacent percentile and break monotonicity in p.
+    return ordered[lo] + (ordered[hi] - ordered[lo]) * frac
 
 
 @dataclass(frozen=True)
