@@ -84,14 +84,15 @@ def test_bench_trace_batch(benchmark, world):
 
 def test_bench_salted_ping_all(benchmark, world):
     """Table 6's pattern: one address pinged under 13 salts (the
-    representative hostname and 12 others), from an empty ping cache."""
+    representative hostname and 12 others), from an empty ping cache
+    and an empty walk memo."""
     addr = world.imperva.im6.address_of_region("EMEA")
     salts = [None] + [f"www.stamps.com-extra-{i:02d}" for i in range(12)]
 
     def forget() -> None:
         for salt in salts:
             world._ping_cache.pop((addr, salt), None)
-        world._reach_cache.pop(addr, None)
+        world.engine._reach.clear()
 
     def ping_under_every_salt():
         return [world.ping_all(addr, salt) for salt in salts]

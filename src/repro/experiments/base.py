@@ -46,7 +46,8 @@ def run_instrumented(
     """Run one experiment module under an ``experiment.<name>`` span.
 
     Returns ``(result, span_record)``; the record carries the measured
-    wall/CPU time and is None when no recorder is installed.
+    wall/CPU time and is None when no recorder is installed.  The result
+    is recorded on ``world.results`` under the experiment's name.
     """
     name = experiment_name(module)
     # The experiment registry is the one place a span name is assembled:
@@ -54,4 +55,14 @@ def run_instrumented(
     # shape that trend series and the profiler key on.
     with obs.span(f"experiment.{name}", description=description) as active:  # repro-lint: disable=obs-span-literal -- registry-driven, shape-stable
         result = module.run(world)
+    world.results[name] = result
     return result, active.record
+
+
+def result_of(module: Any, description: str, world: Any) -> Any:
+    """The result ``world`` recorded for an experiment, running it
+    (:func:`run_instrumented`) only when none is recorded."""
+    result = world.results.get(experiment_name(module))
+    if result is None:
+        result, _record = run_instrumented(module, description, world)
+    return result

@@ -4,7 +4,9 @@ EXPERIMENTS.md narrates paper-vs-measured; this module *operationalises*
 it: each :class:`Claim` names a statement from the paper's evaluation and
 a check over experiment results.  ``python -m repro verify`` runs the
 experiments and prints a ✔/✘ scorecard — the repository's definition of
-"the reproduction still works" after any change.
+"the reproduction still works" after any change.  The checks read the
+results a run already recorded on its world and run only the missing
+experiments, so a scorecard after a full suite re-runs nothing.
 
 Checks are deliberately qualitative (signs, orderings, ranges), because
 absolute milliseconds belong to the authors' testbed, not to a simulator.
@@ -18,25 +20,8 @@ from typing import Callable
 from repro.analysis.cases import CaseType
 from repro.analysis.mapping import MappingClass
 from repro.dnssim.resolver import DnsMode
-from repro.experiments import (
-    fig1,
-    fig2,
-    fig3,
-    fig4,
-    fig6,
-    fig7,
-    fig8,
-    igreedy_compare,
-    longitudinal,
-    resilience,
-    sec52_tails,
-    sec54,
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-)
+from repro.experiments.base import result_of
+from repro.experiments.runner import EXPERIMENTS_BY_NAME
 from repro.experiments.world import World
 from repro.geo.areas import AREAS, Area
 from repro.sitemap.pipeline import Technique
@@ -54,34 +39,27 @@ class ClaimResult:
 class Claim:
     claim_id: str
     statement: str
-    #: Experiment modules whose results the check needs, keyed by id.
+    #: Names of the experiments whose results the check needs.
     needs: tuple[str, ...]
     check: Callable[[dict], tuple[bool, str]]
 
 
 class _Results:
-    """Lazily runs and caches experiments for the claim checks."""
+    """Experiment results for the claim checks, by experiment name.
 
-    _MODULES = {
-        "fig1": fig1, "fig2": fig2, "fig3": fig3, "fig4": fig4,
-        "fig6": fig6, "fig7": fig7, "fig8": fig8,
-        "table1": table1, "table2": table2, "table3": table3,
-        "table4": table4, "table5": table5,
-        "sec54": sec54, "sec52": sec52_tails,
-        "igreedy": igreedy_compare, "longitudinal": longitudinal,
-        "resilience": resilience,
-    }
+    A result the world already recorded (every experiment a run went
+    through :func:`~repro.experiments.base.run_instrumented`) is read
+    as is; a missing one is run once, instrumented, and recorded.
+    """
 
     def __init__(self, world: World):
         self._world = world
-        self._cache: dict[str, object] = {}
 
     def __getitem__(self, key: str):
         if key == "world":
             return self._world
-        if key not in self._cache:
-            self._cache[key] = self._MODULES[key].run(self._world)
-        return self._cache[key]
+        module, description = EXPERIMENTS_BY_NAME[key]
+        return result_of(module, description, self._world)
 
 
 def _check_fig1(r) -> tuple[bool, str]:
@@ -234,7 +212,7 @@ def _check_sec54(r) -> tuple[bool, str]:
 
 
 def _check_sec52(r) -> tuple[bool, str]:
-    res = r["sec52"]
+    res = r["sec52_tails"]
     ok = (
         0 < res.affected_groups < res.total_groups
         and res.set1 + res.set2 == res.affected_groups
@@ -259,7 +237,7 @@ def _check_fig6(r) -> tuple[bool, str]:
 
 
 def _check_igreedy(r) -> tuple[bool, str]:
-    res = r["igreedy"]
+    res = r["igreedy_compare"]
     return (
         len(res.igreedy_sites) < len(res.phop_sites),
         f"p-hop {len(res.phop_sites)} vs iGreedy {len(res.igreedy_sites)} "
@@ -311,7 +289,7 @@ ALL_CLAIMS: tuple[Claim, ...] = (
           ("fig4",), _check_eg_latam),
     Claim("tails", "§5.2: 100+ms groups split into rigid-mapping, "
           "geo-error, cross-region and connectivity causes",
-          ("sec52",), _check_sec52),
+          ("sec52_tails",), _check_sec52),
     Claim("regional-tail", "§5.3: regional anycast removes part of global "
           "anycast's latency tail", ("table3",), _check_table3),
     Claim("crosstab", "§5.3: improved groups reach closer sites; similar "
@@ -325,7 +303,7 @@ ALL_CLAIMS: tuple[Claim, ...] = (
     Claim("fig7-case", "§5.4/Fig.7: public-peer preference pulls a client "
           "past the route server; regional fixes it", ("fig7",), _check_fig7),
     Claim("igreedy", "§7: iGreedy maps fewer sites than the p-hop pipeline",
-          ("igreedy",), _check_igreedy),
+          ("igreedy_compare",), _check_igreedy),
     Claim("stability", "§4.4: site partitions are stable across campaigns",
           ("longitudinal",), _check_longitudinal),
     Claim("failover", "§4.5 (extension): single-site withdrawal never "

@@ -150,7 +150,9 @@ def run_selected_parallel(
     measurement is content-deterministic.
 
     Returns ``(result, wall_ms)`` pairs; worker span/counter buffers are
-    merged into the live recorder in experiment order.
+    merged into the live recorder in experiment order, and the results
+    are recorded on the parent's ``world.results``, as a serial run
+    records them.
     """
     global _FORK_WORLD
     if (worker_count(workers) <= 1 or len(selected) <= 1
@@ -188,8 +190,11 @@ def run_selected_parallel(
         _FORK_WORLD = None
     merged: list[tuple[object, float]] = []
     with obs.span("par.merge", payloads=len(outcomes)):
-        for result, wall_ms, payload in outcomes:
+        for (name, _record, _index), (result, wall_ms, payload) in zip(
+            tasks, outcomes
+        ):
             merge_payload(payload)
+            world.results[name] = result
             merged.append((result, wall_ms))
     return merged
 

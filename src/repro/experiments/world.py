@@ -12,11 +12,14 @@ Internet:
   Imperva-6 sets.
 
 Measurements (pings, traceroutes, DNS resolutions, site mappings) are
-cached per target address so the fifteen experiments share work instead
-of re-measuring.  Each address is walked at most once per topology
-version for its pings: every salt observes the same :class:`~repro
-.measurement.engine.Reach`, and a traced address derives it from its
-traceroutes' paths.
+cached per target address so the experiments share work instead of
+re-measuring.  The usable probes walk each origin set's routing table at
+most once per topology version for pings: every salt, and every prefix
+announced from the same sites, observes the same :class:`~repro
+.measurement.engine.Reach` (memoised by the measurement engine), and a
+traced address derives it from its traceroutes' paths.  Each
+experiment's result is kept on the world as well (:attr:`World.results`),
+so the claim scorecard reads what a run computed instead of re-running.
 """
 
 from __future__ import annotations
@@ -139,8 +142,6 @@ class World:
             obs.gauge.set("world.probe_groups", len(self.groups))
         self._ping_cache: dict[tuple[IPv4Address, object], dict[int, PingResult]] = {}
         self._trace_cache: dict[IPv4Address, dict[int, TracerouteResult]] = {}
-        #: Each address's walk from the usable probes, shared by all salts.
-        self._reach_cache: dict[IPv4Address, Reach] = {}
         self._resolve_cache: dict[tuple[str, DnsMode], dict[int, IPv4Address]] = {}
         self._sitemap_cache: dict[tuple[IPv4Address, tuple[str, ...]], SiteMappingResult] = {}
         #: Topology version the path-dependent caches above were filled at.
@@ -148,6 +149,10 @@ class World:
         self._fleet_pool: FleetPool | None = None
         self._fleet_checked = False
         self._fleet_snapshot: tuple[int, int] | None = None
+        #: Each experiment's result, by experiment name, as this world
+        #: last ran it (:func:`repro.experiments.base.run_instrumented`);
+        #: the claim scorecard reads them instead of re-running.
+        self.results: dict[str, object] = {}
 
     # ------------------------------------------------------------------
     # Probe-fleet fan-out (repro.par)
@@ -214,14 +219,13 @@ class World:
     def _drop_stale_caches(self) -> None:
         """Drop every path-dependent cache once the topology has changed.
 
-        Pings, traceroutes, walks and site mappings all follow from
-        forwarding paths; DNS answers do not, so ``_resolve_cache``
-        stays.
+        Pings, traceroutes and site mappings all follow from forwarding
+        paths (the engine drops its walks itself); DNS answers do not,
+        so ``_resolve_cache`` stays.
         """
         if self._cache_version != self.topology.version:
             self._ping_cache.clear()
             self._trace_cache.clear()
-            self._reach_cache.clear()
             self._sitemap_cache.clear()
             self._cache_version = self.topology.version
 
@@ -230,23 +234,20 @@ class World:
     ) -> dict[int, PingResult]:
         """Ping ``addr`` from every usable probe (cached).
 
-        The address is walked once (or not at all, after
-        :meth:`trace_all`); every ``salt`` is an observation of that
-        walk under the world engine's seed.
+        The usable probes walk the address's routing table once (or not
+        at all, after :meth:`trace_all` or a walk to another prefix of
+        the same origin set, :meth:`MeasurementEngine.reach_many`);
+        every ``salt`` is an observation of that walk under the world
+        engine's seed.
         """
         self._drop_stale_caches()
         key = (addr, salt)
         cached = self._ping_cache.get(key)
         if cached is None:
-            reach = self._reach_cache.get(addr)
-            fleet = self._fleet() if reach is None else None
             with obs.span("world.ping_all", addr=str(addr)):
-                if reach is None:
-                    reach = (
-                        fleet.reach_all(addr) if fleet is not None
-                        else self.engine.reach_many(self.usable_probes, addr)
-                    )
-                    self._reach_cache[addr] = reach
+                reach = self.engine.reach_many(
+                    self.usable_probes, addr,
+                    walk=lambda: self._fleet_reach(addr))
                 cached = {
                     r.probe_id: r
                     for r in self.engine.pings_from(
@@ -256,8 +257,17 @@ class World:
             self._ping_cache[key] = cached
         return cached
 
+    def _fleet_reach(self, addr: IPv4Address) -> Reach | None:
+        """The usable probes' walk to ``addr`` across the fleet pool, or
+        None when measuring serially."""
+        fleet = self._fleet()
+        return fleet.reach_all(addr) if fleet is not None else None
+
     def trace_all(self, addr: IPv4Address) -> dict[int, TracerouteResult]:
-        """Traceroute to ``addr`` from every usable probe (cached)."""
+        """Traceroute to ``addr`` from every usable probe (cached).
+
+        The traces' paths also become the address's walk for pings.
+        """
         self._drop_stale_caches()
         cached = self._trace_cache.get(addr)
         if cached is None:
@@ -272,10 +282,11 @@ class World:
                     }
                 obs.counter.inc("measurement.traceroutes", len(cached))
             self._trace_cache[addr] = cached
-            if addr not in self._reach_cache:
-                self._reach_cache[addr] = Reach.from_paths(
-                    cached[p.probe_id].path for p in self.usable_probes
-                )
+            traces = cached
+            self.engine.reach_many(
+                self.usable_probes, addr,
+                walk=lambda: Reach.from_paths(
+                    traces[p.probe_id].path for p in self.usable_probes))
         return cached
 
     def resolve_all(

@@ -29,6 +29,12 @@ under this engine's seed.  ``ping_many`` and ``trace_many`` are the two
 composed, so callers that re-measure an address under another salt or
 seed (``World.ping_all``, the longitudinal campaigns) observe the walk
 they already have instead of walking again.
+
+``reach_many`` memoises its walks per (routing table, probe batch).  The
+routing engine serves every prefix of one origin set from one table, so
+a campaign that deploys the same site set under a fresh prefix (ReOpt's
+sweep, the baselines' subsets, a withdrawal study) walks it once; only
+the jitter, keyed by the address, differs between the prefixes.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from repro.netaddr.ipv4 import IPv4Address
 from repro.routing.engine import RoutingEngine
 from repro.routing.flat import FlatRoutingTable
 from repro.routing.forwarding import ForwardingPath, trace_forwarding_path
-from repro.routing.route import Announcement
+from repro.routing.route import Announcement, OriginSpec
 from repro.topology.graph import Topology
 
 
@@ -211,6 +217,15 @@ class MeasurementEngine:
         self._hop_silence_seed = hop_silence_seed
         #: Interface address -> silent?; a pure function of the address.
         self._silent: dict[IPv4Address, bool] = {}
+        #: Walks already done, per routing table origin set: the probe
+        #: batches walked under it and their packed reach.  A walk
+        #: depends on the table and the probes, never on the prefix, so
+        #: every prefix of one origin set shares them.
+        self._reach: dict[
+            tuple[tuple[OriginSpec, ...], int], list[tuple[tuple[Probe, ...], Reach]]
+        ] = {}
+        #: Topology version ``_reach`` was filled at.
+        self._reach_version = topology.version
 
     @property
     def routing(self) -> RoutingEngine:
@@ -255,9 +270,39 @@ class MeasurementEngine:
         """One traceroute from a probe to a service address."""
         return self.trace_many((probe,), addr)[0]
 
-    def reach_many(self, probes: Iterable[Probe], addr: IPv4Address) -> Reach:
-        """Walk one service address from each probe, packed for pings."""
-        return Reach.from_paths(self._walk_many(probes, addr))
+    def reach_many(
+        self,
+        probes: Iterable[Probe],
+        addr: IPv4Address,
+        walk: Callable[[], Reach | None] | None = None,
+    ) -> Reach:
+        """Walk one service address from each probe, packed for pings.
+
+        Memoised per (routing table origin set, probe batch): a batch
+        already walked under the address's table — to this prefix or to
+        any other prefix of the same origins — is not walked again.  The
+        memo is dropped when the topology version moves.  On a miss,
+        ``walk`` (a worker pool's fan-out, or a trace batch's paths) may
+        supply the reach; when it is absent or returns None, the batch
+        is walked here.
+        """
+        batch = tuple(probes)
+        table = self.table_for(addr)
+        if table is None:
+            return Reach.from_paths(None for _ in batch)
+        if self._reach_version != self._topology.version:
+            self._reach.clear()
+            self._reach_version = self._topology.version
+        walked = self._reach.setdefault(
+            (table.announcement.origins, table.topology_version), [])
+        for known, reach in walked:
+            if known == batch:
+                return reach
+        supplied = walk() if walk is not None else None
+        reach = (supplied if supplied is not None
+                 else Reach.from_paths(self._walk_many(table, batch)))
+        walked.append((batch, reach))
+        return reach
 
     def ping_many(
         self, probes: Iterable[Probe], addr: IPv4Address, salt: object = None
@@ -280,15 +325,17 @@ class MeasurementEngine:
         per-batch work of :meth:`ping_many` done once.
         """
         batch = tuple(probes)
-        return self.traces_from(list(self._walk_many(batch, addr)), batch, addr)
+        table = self.table_for(addr)
+        paths = (list(self._walk_many(table, batch)) if table is not None
+                 else [None] * len(batch))
+        return self.traces_from(paths, batch, addr)
 
     def _walk_many(
-        self, probes: Iterable[Probe], addr: IPv4Address
+        self, table: FlatRoutingTable, probes: Iterable[Probe]
     ) -> Iterator[ForwardingPath | None]:
-        """Each probe's forwarding path to ``addr``: the one walk loop."""
-        table = self.table_for(addr)
+        """Each probe's forwarding path under ``table``: the one walk loop."""
         for probe in probes:
-            yield self._walk(table, probe) if table is not None else None
+            yield self._walk(table, probe)
 
     def pings_from(
         self, reach: Reach, probes: Sequence[Probe], addr: IPv4Address,

@@ -21,8 +21,11 @@ next to its performance fingerprint:
 The heavy imports (experiments, analysis) happen inside the functions:
 the obs package stays import-light, and no cycle forms with the modules
 it measures.  ``repro obs dashboard`` re-reads these gauges from the
-manifest via :func:`health_gauges` — computing them costs nothing extra
-when the run already measured everything (world caches are shared).
+manifest via :func:`health_gauges`.  Computing them costs little when
+the run already measured everything: the world's measurement caches
+are shared, and the scorecard reads the experiment results the run
+recorded on the world (``World.results``), so after a full suite it
+runs no experiment.
 """
 
 from __future__ import annotations
@@ -114,9 +117,10 @@ def collect_health(
 ) -> dict[str, float]:
     """All health gauges for one world, sorted by name.
 
-    ``include_claims=False`` skips the scorecard — the one component
-    that *runs* experiments rather than reusing what already ran, so
-    partial runs (``repro run table3 --trace ...``) stay cheap.
+    The scorecard reuses the results the world recorded and runs only
+    the experiments it has no result for.  ``include_claims=False``
+    skips it, so a partial run (``repro run table3 --trace ...``) does
+    not run the rest of the suite to score it.
     """
     gauges: dict[str, float] = {}
     gauges.update(routing_health(world))

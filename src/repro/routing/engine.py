@@ -167,7 +167,13 @@ class RoutingEngine:
 
     def __init__(self, topology: Topology):
         self._topology = topology
-        self._cache: dict[tuple[Announcement, int], FlatRoutingTable] = {}
+        #: One table per (origin set, topology version): a table never
+        #: depends on the prefix, so every prefix of one origin set
+        #: shares the columns of the first one computed (see
+        #: :meth:`compute`).
+        self._cache: dict[
+            tuple[tuple[OriginSpec, ...], int], FlatRoutingTable
+        ] = {}
         self._cache_hits = 0
         self._cache_misses = 0
         self._pcache_hits = 0
@@ -187,12 +193,16 @@ class RoutingEngine:
         cache when one is attached, then a real compute (whose result
         feeds both caches).  Only the real compute opens a
         ``routing.compute`` span — a warm run shows none.
+
+        The in-memory cache is keyed by the origin set: a new prefix
+        announced from a known origin set gets the known table's columns
+        re-bound to its own announcement (:meth:`FlatRoutingTable
+        .rebind`), except under an active provenance capture, where it
+        is computed for real so its selection trails carry its prefix.
         """
-        key = (announcement, self._topology.version)
-        table = self._cache.get(key)
+        key = (announcement.origins, self._topology.version)
+        table = self._bound(self._cache.get(key), announcement)
         if table is not None:
-            self._cache_hits += 1
-            obs.counter.inc("routing.cache_hits")
             return table
         table = self._load_persistent(announcement)
         if table is None:
@@ -200,6 +210,21 @@ class RoutingEngine:
             table = self.compute_uncached(announcement)
             self._store_persistent(announcement, table)
         self._cache[key] = table
+        return table
+
+    def _bound(
+        self, table: FlatRoutingTable | None, announcement: Announcement
+    ) -> FlatRoutingTable | None:
+        """A cached table of ``announcement``'s origin set, served for
+        ``announcement`` (a cache hit), or None when it must be computed."""
+        if table is None:
+            return None
+        if table.announcement.prefix != announcement.prefix:
+            if provenance.active() is not None:
+                return None
+            table = table.rebind(announcement)
+        self._cache_hits += 1
+        obs.counter.inc("routing.cache_hits")
         return table
 
     def compute_uncached(self, announcement: Announcement) -> FlatRoutingTable:
@@ -220,11 +245,13 @@ class RoutingEngine:
     ) -> list[FlatRoutingTable]:
         """Tables for many announcements, optionally computed in parallel.
 
-        Cache hits (in-memory, then persistent) resolve inline; only the
-        genuinely uncomputed announcements fan out to worker processes —
-        and only when the resolved worker count exceeds 1 and no
-        provenance capture is active (selection trails are recorded into
-        a process-local recorder, so parallel workers would lose them).
+        Cache hits (in-memory, then persistent) resolve inline, and each
+        uncomputed origin set is computed once (its other prefixes are
+        re-bound, as in :meth:`compute`).  Only those computes fan out
+        to worker processes, and only when the resolved worker count
+        exceeds 1 and no provenance capture is active (selection trails
+        are recorded into a process-local recorder, so parallel workers
+        would lose them).
         Results are returned in input order and are byte-identical to
         serial computes.
         """
@@ -233,25 +260,36 @@ class RoutingEngine:
         resolved: dict[int, FlatRoutingTable] = {}
         pending: list[int] = []
         for index, announcement in enumerate(announcements):
-            table = self._cache.get((announcement, version))
-            if table is not None:
-                self._cache_hits += 1
-                obs.counter.inc("routing.cache_hits")
+            key = (announcement.origins, version)
+            table = self._bound(self._cache.get(key), announcement)
+            if table is None:
+                table = self._load_persistent(announcement)
+                if table is not None:
+                    self._cache[key] = table
+            if table is None:
+                pending.append(index)
+            else:
                 resolved[index] = table
-                continue
-            table = self._load_persistent(announcement)
-            if table is not None:
-                self._cache[(announcement, version)] = table
-                resolved[index] = table
-                continue
-            pending.append(index)
 
-        if pending:
+        # One compute per origin set; later prefixes of a set share it.
+        computing: set[tuple[tuple[OriginSpec, ...], int]] = set()
+        shared: list[int] = []
+        todo: list[int] = []
+        capture = provenance.active() is not None
+        for index in pending:
+            key = (announcements[index].origins, version)
+            if key in computing and not capture:
+                shared.append(index)
+            else:
+                computing.add(key)
+                todo.append(index)
+
+        if todo:
             from repro.par.pool import capture_blocks_parallel, worker_count
 
             parallel = (
                 worker_count(workers) > 1
-                and len(pending) > 1
+                and len(todo) > 1
                 and not capture_blocks_parallel()
             )
             if parallel:
@@ -259,19 +297,25 @@ class RoutingEngine:
 
                 tables = compute_fanout(
                     self._topology,
-                    [announcements[i] for i in pending],
+                    [announcements[i] for i in todo],
                     workers=workers,
                 )
             else:
                 tables = [
-                    self.compute_uncached(announcements[i]) for i in pending
+                    self.compute_uncached(announcements[i]) for i in todo
                 ]
-            for index, table in zip(pending, tables):
+            for index, table in zip(todo, tables):
                 announcement = announcements[index]
                 self._cache_misses += 1
-                self._cache[(announcement, version)] = table
+                self._cache[(announcement.origins, version)] = table
                 self._store_persistent(announcement, table)
                 resolved[index] = table
+        for index in shared:
+            announcement = announcements[index]
+            table = self._bound(
+                self._cache[(announcement.origins, version)], announcement)
+            assert table is not None  # no capture: a known set always binds
+            resolved[index] = table
         return [resolved[i] for i in range(len(announcements))]
 
     # ------------------------------------------------------------------

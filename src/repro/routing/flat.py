@@ -154,6 +154,25 @@ class FlatRoutingTable(RoutingTable):
             path_nodes,
         )
 
+    def rebind(self, announcement: Announcement) -> "FlatRoutingTable":
+        """This table's columns, bound to another prefix of the same origins.
+
+        A table depends on the origin set and the topology, never on the
+        prefix, so the new table shares every column and the bisect
+        index (O(1), nothing copied); only the routes it materializes
+        carry the new prefix.
+        """
+        if announcement.origins != self.announcement.origins:
+            raise ValueError(
+                f"cannot rebind {self.announcement.prefix} to "
+                f"{announcement.prefix}: origin sets differ")
+        table = object.__new__(FlatRoutingTable)
+        table.__dict__.update(self.__dict__)
+        table.announcement = announcement
+        table._mat = None
+        table.best = _BestView(table)  # type: ignore[assignment]
+        return table
+
     # -- packed columns, read-only ------------------------------------
     @property
     def tiers(self) -> array:

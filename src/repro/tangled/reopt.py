@@ -30,6 +30,7 @@ from repro.dnssim.service import RegionMap
 from repro.geo.coords import GeoPoint
 from repro.measurement.engine import MeasurementEngine
 from repro.measurement.probes import Probe
+from repro.netaddr.ipv4 import IPv4Address
 from repro.tangled.testbed import TangledTestbed
 
 
@@ -220,14 +221,23 @@ class ReOpt:
         for announcement in deployment.announcements():
             if registry.lookup(announcement.prefix.address(1)) is None:
                 registry.register(announcement)
+        # One ping batch per region address; the mean is then summed in
+        # probe order, so the float does not depend on the batching.
+        batches: dict[IPv4Address, list[int]] = defaultdict(list)
+        for index, probe in enumerate(self._probes):
+            region = plan.region_of_country.get(probe.country, plan.default_region)
+            batches[deployment.address_of_region(region)].append(index)
+        rtts: list[float | None] = [None] * len(self._probes)
+        for addr, indices in batches.items():
+            results = self._engine.ping_many(
+                [self._probes[i] for i in indices], addr)
+            for index, result in zip(indices, results):
+                rtts[index] = result.rtt_ms
         total = 0.0
         count = 0
-        for probe in self._probes:
-            region = plan.region_of_country.get(probe.country, plan.default_region)
-            addr = deployment.address_of_region(region)
-            result = self._engine.ping(probe, addr)
-            if result.rtt_ms is not None:
-                total += result.rtt_ms
+        for rtt_ms in rtts:
+            if rtt_ms is not None:
+                total += rtt_ms
                 count += 1
         measured = total / count if count else float("inf")
         plan.mean_measured_latency_ms = measured

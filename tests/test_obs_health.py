@@ -1,8 +1,9 @@
 """Tests for repro.obs.health: domain gauges on instrumented runs.
 
-Uses the session-scoped SMALL world; the claims scorecard
-(``include_claims=True``) re-runs experiments and is exercised only via
-a stubbed world, not the real one.
+Uses the session-scoped SMALL world with ``include_claims=False``: on
+a world that has not run the suite, the claims scorecard would run the
+experiments it needs.  ``tests/test_once_per_run.py`` checks the
+scorecard after a full suite.
 """
 
 from __future__ import annotations

@@ -144,6 +144,23 @@ class TestReOpt:
         assert measured == plan.mean_measured_latency_ms
         assert 0 < measured < 1000
 
+    def test_measure_equals_the_per_probe_ping_loop(self, reopt, small_world):
+        """One ping batch per region address, summed in probe order: the
+        mean is bit-identical to pinging one probe at a time."""
+        plan = reopt.plan(5)
+        measured = reopt.measure(plan)
+        total = 0.0
+        count = 0
+        for probe in small_world.usable_probes:
+            region = plan.region_of_country.get(probe.country,
+                                                plan.default_region)
+            addr = plan.deployment.address_of_region(region)
+            rtt_ms = small_world.engine.ping(probe, addr).rtt_ms
+            if rtt_ms is not None:
+                total += rtt_ms
+                count += 1
+        assert measured == total / count
+
     def test_sweep_selects_minimum(self, reopt):
         best, plans = reopt.sweep((3, 6))
         assert [p.k for p in plans] == [3, 4, 5, 6]
